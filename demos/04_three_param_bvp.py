@@ -23,8 +23,8 @@ N = 32                               # Chebyshev points per subinterval
 mep = gen_fourpoint_bvp(N)
 print(f"factor dimensions: {mep.dims}")
 
-# maxdim drives the cost: each outer iteration solves the projected
-# problem densely, and that is a QZ of size maxdim^3
+# maxdim drives the cost: each outer iteration extracts the projected
+# tensor problem with a one-sided standard eigensolve of size maxdim^3
 opts = MepOptions(target=(0.0, 0.0, 0.0), num_pairs=4, tol=1e-10,
                   mindim=3, maxdim=6, max_outer=200, seed=0)
 res = mep_subspace_solve(mep, opts)

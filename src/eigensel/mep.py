@@ -17,9 +17,13 @@ For coincident points the same determinant is the parameter Jacobian
 det [y_i* dT_i/dlam_j x_i], nonzero exactly at simple eigenvalues, so the
 normalized sandwich plays the role of the selection criterion.
 
-dense_solve is the brute-force oracle on the full tensor space;
-mep_subspace_solve runs the Jacobi-Davidson loop with one search space per
-factor and the sandwich criterion steering selection.
+dense_solve is the brute-force oracle on the full tensor space: a
+two-sided QZ of the Delta pencil with left and right factor vectors and
+residual self-checks.  mep_subspace_solve runs the Jacobi-Davidson loop with
+one search space per factor and the sandwich criterion steering selection;
+its projected extraction is one-sided, a standard eigenproblem of
+Delta_0^{-1} sum_j c_j Delta_j with factor vectors split off only for the
+candidates the selection walk reads.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -240,6 +245,51 @@ def _ls_value(D0z, Dz):
     return complex(np.vdot(D0z, Dz) / denom)
 
 
+def _weighted_sum(deltas):
+    """sum_j c_j Delta_j for the parameter operators Delta_1, Delta_2, ...
+
+    Unit weights at fixed irrational angles: deterministic, and aliasing of
+    distinct tuples under the combination is non-generic.
+    """
+    weights = np.exp(2j * np.pi * 0.6180339887498949
+                     * np.arange(1, len(deltas)))
+    return sum(c * D for c, D in zip(weights, deltas[1:]))
+
+
+@dataclass
+class _RitzCandidate:
+    """Projected tuple whose factor vectors are split off z on first read."""
+
+    values: tuple
+    z: np.ndarray
+    dims: tuple
+
+    @cached_property
+    def xs(self):
+        return _rank1_factors(self.z, self.dims)[0]
+
+
+def _projected_candidates(small):
+    """Ritz tuples of a projected MEP from a one-sided standard eigensolve.
+
+    Solves Delta_0^{-1} sum_j c_j Delta_j z = theta z (the weights of
+    dense_solve) for right vectors only and reads every tuple at once as the
+    least-squares Rayleigh values (Delta_0 Z)* (Delta_j Z) / ||Delta_0 Z||^2.
+    Non-finite tuples are dropped.  An exactly singular Delta_0 raises
+    LinAlgError.
+    """
+    deltas = delta_operators(small)
+    D0 = deltas[0]
+    Z = np.linalg.eig(np.linalg.solve(D0, _weighted_sum(deltas)))[1]
+    D0Z = D0 @ Z
+    denom = np.einsum("ij,ij->j", D0Z.conj(), D0Z).real
+    vals = np.array([np.einsum("ij,ij->j", D0Z.conj(), D @ Z)
+                     for D in deltas[1:]]) / denom
+    return [_RitzCandidate(tuple(complex(v) for v in vals[:, k]), Z[:, k],
+                           small.dims)
+            for k in np.flatnonzero(np.isfinite(vals).all(axis=0))]
+
+
 def dense_solve(mep, cap=None, residual_rtol=1e-8):
     """All eigenvalues of a linear MEP by the operator determinant route.
 
@@ -266,12 +316,7 @@ def dense_solve(mep, cap=None, residual_rtol=1e-8):
         )
     deltas = delta_operators(mep)
     D0 = deltas[0]
-    # unit weights at fixed irrational angles: deterministic, and aliasing
-    # of distinct tuples under the combination is non-generic
-    weights = np.exp(2j * np.pi * 0.6180339887498949
-                     * np.arange(1, len(deltas)))
-    combo = sum(c * D for c, D in zip(weights, deltas[1:]))
-    vals, VL, VR = sla.eig(combo, D0, left=True, right=True,
+    vals, VL, VR = sla.eig(_weighted_sum(deltas), D0, left=True, right=True,
                            check_finite=False)
     pairs = []
     for idx in range(vals.shape[0]):
@@ -618,7 +663,6 @@ class MepOptions:
     inner_steps: int = 10
     eta: float = 0.1
     criterion: str = "new"
-    right_definite: bool = False
     seed: int = 0
     blocked_tol: float = 1e-6
     left_rtol: float = 1e-8
@@ -709,10 +753,11 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     """Jacobi-Davidson on a linear MEP with divided-difference selection.
 
     One orthonormal search space per factor; each outer iteration projects
-    the problem onto the factor bases, solves the small MEP densely through
-    its Delta pencil, walks the tensor Ritz pairs nearest the target until
-    the sandwich criterion accepts one, and expands every factor space with
-    a projected correction.  A pair converges when all factor residuals meet
+    the problem onto the factor bases, extracts the tensor Ritz tuples with a
+    one-sided standard eigensolve of the projected Delta pencil (dense_solve
+    stays the two-sided oracle), walks them in target order until the
+    sandwich criterion accepts one, and expands every factor space with a
+    projected correction.  A pair converges when all factor residuals meet
     the relative tolerance and the criterion passes; its left factor vectors
     are computed as adjoint null vectors, the parameter values are refined
     by the two-sided tensor Rayleigh system, and the triplet is registered.
@@ -728,26 +773,57 @@ def mep_subspace_solve(mep, options=None, v0s=None):
 
     # LU of T_i(target) preconditions both correction and null-vector solves
     precs = [linsolve.LuPreconditioner(mep.t_eval(i, target)) for i in range(N)]
-
-    spaces = []
-    for i in range(N):
-        mats = [mep.a_mat(i)] + list(mep.param_mats(i))
-        spaces.append(SearchSpace(mats, rng))
+    spaces = [SearchSpace([mep.a_mat(i)] + list(mep.param_mats(i)), rng)
+              for i in range(N)]
 
     def _rand(i):
         ni = mep.dims[i]
         return rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
 
-    ts = []
-    for i in range(N):
-        if v0s is not None:
-            ts.append(np.asarray(v0s[i], dtype=complex))
-        else:
-            ts.append(_rand(i))
+    ts = [_rand(i) if v0s is None else np.asarray(v0s[i], dtype=complex)
+          for i in range(N)]
 
     registry = []
     records = []
     blocked = []
+    cutoff = criterion_threshold(opts.eta, opts.criterion)
+    cands = []
+    crit_vals = {}
+
+    def _unblocked(cs):
+        return [c for c in cs
+                if not _mep_blocked(c.values, blocked, opts.blocked_tol)]
+
+    def _crit(idx):
+        if idx not in crit_vals:
+            c = cands[idx]
+            vs = [spaces[i].V @ c.xs[i] for i in range(N)]
+            crit_vals[idx] = mep_criterion(mep, registry, vs,
+                                           variant=opts.criterion)
+        return crit_vals[idx]
+
+    def _passing():
+        """Indices of passing candidates in target order, walked lazily."""
+        return (idx for idx in range(len(cands)) if _crit(idx) < cutoff)
+
+    def _full_pair(idx):
+        c = cands[idx]
+        vs = [spaces[i].V @ c.xs[i] for i in range(N)]
+        vs = [v / np.linalg.norm(v) for v in vs]
+        rs = [to_dense_matvec(mep, i, c.values, vs[i]) for i in range(N)]
+        rels = [
+            float(np.linalg.norm(rs[i])) / mep.tolerance_scale(i, c.values)
+            for i in range(N)
+        ]
+        return c.values, vs, rs, max(rels)
+
+    def _fresh_start():
+        """Random expansions, after restarting full spaces on a random one."""
+        if max(sp.k for sp in spaces) >= opts.maxdim:
+            for sp in spaces:
+                sp.restart([rng.standard_normal(sp.k)
+                            + 1j * rng.standard_normal(sp.k)])
+        return [_rand(i) for i in range(N)]
 
     outer = 0
     while outer < opts.max_outer:
@@ -756,164 +832,86 @@ def mep_subspace_solve(mep, options=None, v0s=None):
             spaces[i].append(ts[i])
 
         # projected small MEP on the factor bases
-        small_ops = []
-        for i in range(N):
-            small_ops.append(tuple(spaces[i].H))
-        if N == 2:
-            small = LinearMep2(*small_ops[0], *small_ops[1])
-        else:
-            small = LinearMep3(small_ops)
+        small = _LinearMepBase([tuple(sp.H) for sp in spaces])
         try:
-            cands = dense_solve(small, cap=10 ** 9, residual_rtol=math.inf)
+            cands = _projected_candidates(small)
         except np.linalg.LinAlgError:
             cands = []
-        cands = [
-            c for c in cands if not _mep_blocked(c.values, blocked,
-                                                 opts.blocked_tol)
-        ]
+        cands = _unblocked(cands)
         cands.sort(key=lambda c: _values_dist(c.values, target))
+        crit_vals.clear()
         if not cands:
             records.append(MepRecord(outer, (), math.nan, math.nan,
                                      "no_candidates"))
-            if max(sp.k for sp in spaces) >= opts.maxdim:
-                for i in range(N):
-                    spaces[i].restart([rng.standard_normal(spaces[i].k)
-                                       + 1j * rng.standard_normal(spaces[i].k)])
-            ts = [_rand(i) for i in range(N)]
+            ts = _fresh_start()
             continue
 
-        crit_vals = {}
-        cutoff = criterion_threshold(opts.eta, opts.criterion)
-
-        def _crit(idx):
-            if idx not in crit_vals:
-                c = cands[idx]
-                vs = [spaces[i].V @ c.xs[i] for i in range(N)]
-                crit_vals[idx] = mep_criterion(mep, registry, vs,
-                                               variant=opts.criterion)
-            return crit_vals[idx]
-
-        chosen = None
-        for idx in range(len(cands)):
-            if _crit(idx) < cutoff:
-                chosen = idx
-                break
+        chosen = next(_passing(), None)
         sel_ok = chosen is not None
         if not sel_ok:
             chosen = 0
-
-        def _full_pair(idx):
-            c = cands[idx]
-            vs = [spaces[i].V @ c.xs[i] for i in range(N)]
-            vs = [v / np.linalg.norm(v) for v in vs]
-            rs = [to_dense_matvec(mep, i, c.values, vs[i]) for i in range(N)]
-            rels = [
-                float(np.linalg.norm(rs[i])) / mep.tolerance_scale(i, c.values)
-                for i in range(N)
-            ]
-            return c.values, vs, rs, max(rels)
-
         values, vs, rs, relres = _full_pair(chosen)
         crit = _crit(chosen)
 
-        if sel_ok and relres <= opts.tol:
-            try:
-                if opts.right_definite:
-                    # Hermitian factors with definite Delta_0 share left and
-                    # right eigenvectors, so the null solves can be skipped.
-                    ys = [v.copy() for v in vs]
-                else:
+        if relres <= opts.tol:
+            if sel_ok:
+                try:
                     # Left residuals cannot undercut the accuracy of the
                     # converged tuple, so track the achieved right residual.
                     rtol_eff = max(opts.left_rtol, 10.0 * relres)
                     ys = []
                     for i in range(N):
-                        Ti = to_dense(mep.t_eval(i, values))
+                        Zi = mep.t_eval(i, values).conj().T
                         scale = rtol_eff * mep.tolerance_scale(i, values)
-                        lu = linsolve.LuPreconditioner(Ti.conj().T)
+                        lu = linsolve.LuPreconditioner(Zi)
                         ys.append(
                             linsolve.null_vector(
-                                Ti.conj().T, scale, solve=lu.solve,
+                                Zi, scale, solve=lu.solve,
                                 seed=opts.seed + 77 * (len(registry) + 1) + i,
                             )
                         )
-                reg_values = values
-                if opts.refine:
-                    reg_values = tensor_rayleigh(mep, vs, ys)
-                mep_register(mep, registry, reg_values, vs, ys,
-                             residual=relres, iteration=outer)
-                records.append(MepRecord(outer, reg_values, relres, crit,
-                                         "converged"))
-            except (DefectiveEigenvalueError, linsolve.NullVectorError) as exc:
+                    reg_values = values
+                    if opts.refine:
+                        reg_values = tensor_rayleigh(mep, vs, ys)
+                    mep_register(mep, registry, reg_values, vs, ys,
+                                 residual=relres, iteration=outer)
+                    records.append(MepRecord(outer, reg_values, relres, crit,
+                                             "converged"))
+                except (DefectiveEigenvalueError,
+                        linsolve.NullVectorError) as exc:
+                    blocked.append(values)
+                    records.append(
+                        MepRecord(outer, values, relres, crit,
+                                  f"rejected: {type(exc).__name__}")
+                    )
+                if len(registry) >= opts.num_pairs:
+                    return MepResult(registry, records, outer, False, blocked)
+            else:
+                # converged in residual yet rejected by the criterion: a
+                # re-found (or defective) eigenvalue; block it so extraction
+                # stops offering it, otherwise the run livelocks here
                 blocked.append(values)
-                records.append(
-                    MepRecord(outer, values, relres, crit,
-                              f"rejected: {type(exc).__name__}")
-                )
-            if len(registry) >= opts.num_pairs:
-                return MepResult(registry, records, outer, False, blocked)
+                records.append(MepRecord(outer, values, relres, crit,
+                                         "rejected: converged duplicate"))
+            # reselect among the remaining candidates
             crit_vals.clear()
-            cands = [
-                c for i, c in enumerate(cands)
-                if i != chosen
-                and not _mep_blocked(c.values, blocked, opts.blocked_tol)
-            ]
-            chosen = None
-            for idx in range(len(cands)):
-                if _crit(idx) < cutoff:
-                    chosen = idx
-                    break
-            if chosen is None and cands:
-                chosen = 0
-            if chosen is None:
-                if max(sp.k for sp in spaces) >= opts.maxdim:
-                    for i in range(N):
-                        spaces[i].restart(
-                            [rng.standard_normal(spaces[i].k)
-                             + 1j * rng.standard_normal(spaces[i].k)]
-                        )
-                ts = [_rand(i) for i in range(N)]
+            cands = _unblocked(c for i, c in enumerate(cands) if i != chosen)
+            if not cands:
+                ts = _fresh_start()
                 continue
-            values, vs, rs, relres = _full_pair(chosen)
-        elif not sel_ok and relres <= opts.tol:
-            # converged in residual yet rejected by the criterion: a re-found
-            # (or defective) eigenvalue; block it so extraction stops
-            # offering it, otherwise the run livelocks here
-            blocked.append(values)
-            records.append(MepRecord(outer, values, relres, crit,
-                                     "rejected: converged duplicate"))
-            crit_vals.clear()
-            cands = [
-                c for i, c in enumerate(cands)
-                if i != chosen
-                and not _mep_blocked(c.values, blocked, opts.blocked_tol)
-            ]
-            chosen = None
-            for idx in range(len(cands)):
-                if _crit(idx) < cutoff:
-                    chosen = idx
-                    break
-            if chosen is None and cands:
-                chosen = 0
-            if chosen is None:
-                if max(sp.k for sp in spaces) >= opts.maxdim:
-                    for i in range(N):
-                        spaces[i].restart(
-                            [rng.standard_normal(spaces[i].k)
-                             + 1j * rng.standard_normal(spaces[i].k)]
-                        )
-                ts = [_rand(i) for i in range(N)]
-                continue
+            chosen = next(_passing(), 0)
             values, vs, rs, relres = _full_pair(chosen)
         else:
             records.append(MepRecord(outer, values, relres, crit,
                                      "expanded" if sel_ok else "no-pass"))
 
         # restart watches the largest factor space: restarts drop dependent
-        # kept directions, so the factor dimensions need not stay equal
+        # kept directions, so the factor dimensions need not stay equal.
+        # Keep the first mindim passing candidates, topped up with failing
+        # ones in target order; the walk stops once mindim have passed.
         if max(sp.k for sp in spaces) >= opts.maxdim:
-            passing = [i for i in range(len(cands)) if _crit(i) < cutoff]
-            failing = [i for i in range(len(cands)) if i not in set(passing)]
+            passing = list(itertools.islice(_passing(), opts.mindim))
+            failing = [i for i in range(len(cands)) if i not in passing]
             keep = (passing + failing)[: opts.mindim]
             if chosen in keep:
                 keep.remove(chosen)
@@ -924,8 +922,8 @@ def mep_subspace_solve(mep, options=None, v0s=None):
 
         ts = []
         for i in range(N):
-            Ti = to_dense(mep.t_eval(i, values))
-            t = _factor_correction(Ti, vs[i], rs[i], opts.inner_steps, precs[i])
+            t = _factor_correction(mep.t_eval(i, values), vs[i], rs[i],
+                                   opts.inner_steps, precs[i])
             if t is None or np.linalg.norm(t) == 0.0:
                 t = _rand(i)
             ts.append(t)

@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from eigensel import mep as mepmod
+from eigensel.mep import _values_dist as dist
 from eigensel.mep import (
     DefectiveEigenvalueError,
     LinearMep2,
@@ -343,6 +346,87 @@ class TestSubspaceSolver:
         assert set(d) == {"values", "xs", "ys", "denom", "residual",
                           "found_iteration"}
         assert len(d["values"]) == 2 and len(d["values"][0]) == 2
+
+
+class TestProjectedExtraction:
+    """The solver's one-sided extraction against the two-sided oracle."""
+
+    @staticmethod
+    def _matched(m):
+        # pair every candidate with the oracle tuple nearest to it
+        cands = mepmod._projected_candidates(m)
+        oracle = dense_solve(m)
+        assert len(cands) == len(oracle)
+        pairs = []
+        for c in cands:
+            dists = [dist(c.values, p.values) for p in oracle]
+            pairs.append((c, oracle[int(np.argmin(dists))], min(dists)))
+        assert len({id(p) for _, p, _ in pairs}) == len(oracle)
+        return pairs
+
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 4, 3)])
+    def test_tuples_equal_oracle_set(self, dims):
+        m = gen_random_mep(dims, seed=40)
+        for c, p, err in self._matched(m):
+            assert err <= 1e-10 * max(1.0, dist(p.values, [0] * m.nparams))
+
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 4, 3)])
+    def test_lazy_factors_parallel_to_oracle(self, dims):
+        m = gen_random_mep(dims, seed=41)
+        for c, p, _ in self._matched(m):
+            for x, xo in zip(c.xs, p.xs):
+                assert abs(np.vdot(x, xo)) >= 1.0 - 1e-10
+
+    def test_factors_computed_only_when_read(self, monkeypatch):
+        calls = []
+        rank1 = mepmod._rank1_factors
+
+        def counting(z, dims):
+            calls.append(dims)
+            return rank1(z, dims)
+
+        monkeypatch.setattr(mepmod, "_rank1_factors", counting)
+        cands = mepmod._projected_candidates(gen_random_mep((3, 4), seed=42))
+        assert calls == []
+        first = cands[0].xs
+        assert cands[0].xs is first
+        assert calls == [(3, 4)]
+
+    def test_singular_delta0_gives_no_candidates(self):
+        # B_i = C_i in both factors makes Delta_0 = B1 (x) B2 - B1 (x) B2
+        # vanish exactly, on the full space and on every projection
+        rng = np.random.default_rng(43)
+        A1, B1, A2, B2 = (rng.standard_normal((4, 4)) for _ in range(4))
+        m = LinearMep2(A1, B1, B1, A2, B2, B2)
+        with pytest.raises(np.linalg.LinAlgError):
+            mepmod._projected_candidates(m)
+        opts = MepOptions(target=(0.0, 0.0), num_pairs=1, mindim=2, maxdim=3,
+                          max_outer=5, seed=0)
+        res = mep_subspace_solve(m, opts)
+        assert res.truncated and res.outer_iterations == 5
+        assert res.registry == []
+        assert [r.event for r in res.records] == ["no_candidates"] * 5
+
+    def test_sparse_factors_match_dense_run(self, monkeypatch):
+        m = gen_fourpoint_bvp(12)
+        ms = LinearMep3([tuple(sp.csr_matrix(M) for M in row)
+                         for row in m.ops])
+        assert all(sp.issparse(M) for row in ms.ops for M in row)
+        opts = MepOptions(target=(0.0, 0.0, 0.0), num_pairs=3, tol=1e-10,
+                          mindim=3, maxdim=5, max_outer=80, seed=0)
+        dense = mep_subspace_solve(m, opts).registry
+        # correction and left-vector solves must not densify T_i(lam)
+        to_dense = mepmod.to_dense
+
+        def dense_only(M):
+            assert not sp.issparse(M), "sparse factor densified"
+            return to_dense(M)
+
+        monkeypatch.setattr(mepmod, "to_dense", dense_only)
+        sparse = mep_subspace_solve(ms, opts).registry
+        assert len(sparse) == len(dense) == 3
+        for t in sparse:
+            assert min(dist(t.values, u.values) for u in dense) <= 1e-8
 
 
 class TestBoundaryValueProblem:
