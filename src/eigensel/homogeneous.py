@@ -44,6 +44,7 @@ __all__ = [
     "hom_D",
     "hom_weights",
     "hom_D_weights",
+    "hom_dd_weights",
     "hom_divided_difference",
     "hom_tolerance_scale",
     "hom_condition_number",
@@ -126,6 +127,20 @@ def scale_canonical(p):
     return p.scaled(s)
 
 
+def _align_phase(ref_alpha, ref_beta, alpha, beta):
+    """Unit scalar s with which (alpha s, beta s) is aligned to ref.
+
+    The rule of align on coordinate arrays, which broadcast against each
+    other.
+    """
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    z = np.where(np.abs(ref_alpha) > np.abs(ref_beta),
+                 np.where(np.abs(alpha) > 0.0, alpha, beta),
+                 np.where(np.abs(beta) > 0.0, beta, alpha))
+    a = np.abs(z)
+    return np.where(a == 0.0, 1.0, a / np.where(a == 0.0, 1.0, z))
+
+
 def align(p, ref):
     """Scale p so the coordinate that dominates ref is real nonnegative in p.
 
@@ -134,11 +149,8 @@ def align(p, ref):
     closeness of the representatives.  If the ref-dominant coordinate of p
     vanishes the other coordinate is used instead.
     """
-    if abs(ref.alpha) > abs(ref.beta):
-        z = p.alpha if abs(p.alpha) > 0.0 else p.beta
-    else:
-        z = p.beta if abs(p.beta) > 0.0 else p.alpha
-    return p.scaled(_unit_phase_to_nonneg(z))
+    s = _align_phase(ref.alpha, ref.beta, p.alpha, p.beta)
+    return p.scaled(complex(s))
 
 
 def chordal_distance(p, q):
@@ -163,6 +175,31 @@ def hom_D_weights(degree, p):
         if m - i >= 1:
             w[i] -= np.conj(a) * (m - i) * a**i * b ** (m - i - 1)
     return w
+
+
+def hom_dd_weights(degree, ps, qs):
+    """Weights of the projective divided differences at all pairs (p, q).
+
+    ps are canonical points (registered eigenvalues), qs arbitrary points.
+    Returns w of shape (len(ps), len(qs), degree + 1) such that
+    sum_i w[s, t, i] A_i is hom_divided_difference at (ps[s], qs[t]): q is
+    aligned to p, and points at most SWITCH_TOL apart in chordal distance
+    get the weights of DP at p.
+    """
+    pa = np.array([p.alpha for p in ps])[:, None]
+    pb = np.array([p.beta for p in ps])[:, None]
+    qa = np.array([q.alpha for q in qs])
+    qb = np.array([q.beta for q in qs])
+    s = _align_phase(pa, pb, qa, qb)
+    qa, qb = qa * s, qb * s
+    det = pa * qb - qa * pb
+    coincident = np.abs(det) <= SWITCH_TOL
+    i = np.arange(degree + 1)
+    wq = qa[..., None] ** i * qb[..., None] ** (degree - i)
+    wp = np.array([hom_weights(degree, p) for p in ps])[:, None, :]
+    w = (wp - wq) / np.where(coincident, 1.0, det)[..., None]
+    wd = np.array([hom_D_weights(degree, p) for p in ps])[:, None, :]
+    return np.where(coincident[..., None], wd, w)
 
 
 def _weighted_sum(coeffs, w):
@@ -196,14 +233,12 @@ def hom_divided_difference(problem, p, q):
 
     The first point is canonicalized and the second aligned to it before the
     quotient is formed; points closer than SWITCH_TOL in chordal distance are
-    treated as coincident and get DP at the first point.
+    treated as coincident and get DP at the first point.  The matrix is
+    assembled from the weights of hom_dd_weights, the rule the selection
+    criterion uses.
     """
-    p = scale_canonical(p)
-    q = align(q, p)
-    denom = p.alpha * q.beta - q.alpha * p.beta
-    if abs(denom) <= SWITCH_TOL:
-        return hom_D(problem, p)
-    return (hom_eval(problem, p) - hom_eval(problem, q)) / denom
+    w = hom_dd_weights(problem.degree, [scale_canonical(p)], [q])
+    return _weighted_sum(problem.coeffs, w[0, 0])
 
 
 def hom_tolerance_scale(problem, p):

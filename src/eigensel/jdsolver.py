@@ -11,6 +11,12 @@ criterion accepts it; its left eigenvector is then solved for, the triplet
 is registered, and the process continues toward the next pair without any
 deflation or locking of the problem.
 
+All Ritz pairs of an iteration are scored in one contraction
+(selection.candidate_criteria) with the registry's cached rows y* A_i times
+V; no candidate vector is formed to be judged.  The correction equation
+forms P(theta) once and never P'(theta), so the derivative matrix is only
+built when a triplet is registered.
+
 Restarts keep the best criterion-passing pairs.  Infinite eigenvalues are
 first-class citizens in homogeneous mode: eigenvalue approximations are
 projective points, residuals use the homogeneous evaluation, and the
@@ -40,6 +46,7 @@ from .selection import (
     CandidatePair,
     DefectiveEigenvalueError,
     SelectionConfig,
+    candidate_criteria,
     criterion_value,
     register,
 )
@@ -334,6 +341,12 @@ def _residual(problem, space, theta, c):
     return r, float(np.linalg.norm(r)), scale
 
 
+def _unit(v):
+    """v scaled to unit norm (a zero vector stays zero)."""
+    nv = np.linalg.norm(v)
+    return v / nv if nv > 0 else v
+
+
 def _is_blocked(theta, blocked, tol):
     for b in blocked:
         if isinstance(theta, hom.ProjectivePoint) or isinstance(b, hom.ProjectivePoint):
@@ -377,10 +390,29 @@ def jd_solve(problem, options=None, v0=None, M=None):
     records = []
     blocked = []
 
-    if v0 is None:
-        t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        t = np.asarray(v0, dtype=complex)
+    def _rand():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def _fresh_start():
+        """Random expansion, after restarting a full space on a random one."""
+        if space.k >= opts.maxdim:
+            space.restart([rng.standard_normal(space.k)
+                           + 1j * rng.standard_normal(space.k)])
+        return _rand()
+
+    def _unblocked(cs):
+        return [c for c in cs
+                if not _is_blocked(c.theta, blocked, opts.blocked_tol)]
+
+    def _select():
+        """Criterion values of all candidates, scored in one contraction
+        against the registry, and the first passing index (candidates are
+        in target order), or None when none passes."""
+        crits = candidate_criteria(problem, registry, space.V, cands, config)
+        passing = np.flatnonzero(crits < opts.eta)
+        return crits, int(passing[0]) if passing.size else None
+
+    t = _rand() if v0 is None else np.asarray(v0, dtype=complex)
     space = SearchSpace(problem.coeffs, rng)
     target = hom.from_scalar(complex(opts.target)) if homo else complex(opts.target)
 
@@ -389,147 +421,85 @@ def jd_solve(problem, options=None, v0=None, M=None):
         outer += 1
         space.append(t)
 
-        cands = extract_candidates(space, target, opts.mode)
-        cands = [
-            c for c in cands if not _is_blocked(c.theta, blocked, opts.blocked_tol)
-        ]
+        cands = _unblocked(extract_candidates(space, target, opts.mode))
         if not cands:
             records.append(
                 ConvergenceRecord(outer, complex(np.nan), math.nan, math.nan,
                                   "no_candidates")
             )
-            if space.k >= opts.maxdim:
-                space.restart(
-                    [rng.standard_normal(space.k)
-                     + 1j * rng.standard_normal(space.k)]
-                )
-            t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            t = _fresh_start()
             continue
 
-        # walk candidates nearest-target first; remember each pair's
-        # criterion value so the restart can reuse them
-        crit_vals = {}
-
-        def _crit(idx):
-            if idx not in crit_vals:
-                cand = cands[idx]
-                vv = space.V @ cand.v
-                crit_vals[idx] = criterion_value(
-                    problem, registry, CandidatePair(cand.theta, vv), config
-                )
-            return crit_vals[idx]
-
-        chosen_idx = None
-        for idx in range(len(cands)):
-            if _crit(idx) < opts.eta:
-                chosen_idx = idx
-                break
+        crits, chosen_idx = _select()
         sel_ok = chosen_idx is not None
         if not sel_ok:
-            chosen_idx = 0  # best pair regardless; step 8 will be skipped
+            chosen_idx = 0  # best pair regardless; it cannot be registered
+            # (a residual-converged one is blocked below)
 
         theta, c = cands[chosen_idx].theta, cands[chosen_idx].v
+        vc = space.V @ c
         if opts.extraction == "gal1_refined":
-            theta = _gal1_for_mode(problem, space.V @ c, target, theta, homo)
-        v = space.V @ c
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            v = v / nv
+            theta = _gal1_for_mode(problem, vc, target, theta, homo)
+        v = _unit(vc)
         r, resnorm, scale = _residual(problem, space, theta, c)
-        crit = _crit(chosen_idx) if opts.extraction != "gal1_refined" else (
-            criterion_value(problem, registry, CandidatePair(theta, v), config)
-        )
+        if opts.extraction == "gal1_refined":
+            crit = criterion_value(problem, registry, CandidatePair(theta, v),
+                                   config)
+        else:
+            crit = float(crits[chosen_idx])
 
-        if sel_ok and resnorm <= opts.tol * scale:
-            # eigenpair found: left eigenvector, then registration.  The
-            # left residual cannot undercut the accuracy of theta itself,
-            # so the tolerance tracks the achieved right residual.
-            try:
-                y = linsolve.left_eigenvector(
-                    problem,
-                    theta,
-                    rtol=max(opts.left_rtol, 10.0 * resnorm / scale),
-                    M=M,
-                    seed=opts.seed + 1000 + len(registry) + len(blocked),
-                )
-                register(problem, registry, theta, v, y, config,
-                         residual=resnorm / scale, iteration=outer)
-                records.append(
-                    ConvergenceRecord(outer, _theta_scalar(theta), resnorm / scale,
-                                      crit, "converged")
-                )
-            except (DefectiveEigenvalueError, linsolve.NullVectorError) as exc:
+        if resnorm <= opts.tol * scale:
+            rho = resnorm / scale
+            if sel_ok:
+                # eigenpair found: left eigenvector, then registration.  The
+                # left residual cannot undercut the accuracy of theta
+                # itself, so the tolerance tracks the achieved right
+                # residual.
+                try:
+                    y = linsolve.left_eigenvector(
+                        problem,
+                        theta,
+                        rtol=max(opts.left_rtol, 10.0 * rho),
+                        M=M,
+                        seed=opts.seed + 1000 + len(registry) + len(blocked),
+                    )
+                    register(problem, registry, theta, v, y, config,
+                             residual=rho, iteration=outer)
+                    records.append(
+                        ConvergenceRecord(outer, _theta_scalar(theta), rho,
+                                          crit, "converged")
+                    )
+                except (DefectiveEigenvalueError,
+                        linsolve.NullVectorError) as exc:
+                    blocked.append(theta)
+                    records.append(
+                        ConvergenceRecord(outer, _theta_scalar(theta), rho,
+                                          crit,
+                                          f"rejected: {type(exc).__name__}")
+                    )
+                if len(registry) >= opts.num_pairs:
+                    return JDResult(registry, records, outer, False, blocked)
+            else:
+                # converged in residual yet rejected by the criterion: a
+                # re-found (or defective) eigenvalue; keep extraction from
+                # offering it again, otherwise the run livelocks on it
                 blocked.append(theta)
                 records.append(
-                    ConvergenceRecord(outer, _theta_scalar(theta), resnorm / scale,
-                                      crit, f"rejected: {type(exc).__name__}")
+                    ConvergenceRecord(outer, _theta_scalar(theta), rho, crit,
+                                      "rejected: converged duplicate")
                 )
-            if len(registry) >= opts.num_pairs:
-                return JDResult(registry, records, outer, False, blocked)
             # select the next-best pair that passes against the updated
-            # registry (the just-registered value now fails by construction)
-            crit_vals.clear()
-            cands = [
-                cand for i, cand in enumerate(cands)
-                if i != chosen_idx
-                and not _is_blocked(cand.theta, blocked, opts.blocked_tol)
-            ]
-            chosen_idx = None
-            for idx in range(len(cands)):
-                if _crit(idx) < opts.eta:
-                    chosen_idx = idx
-                    break
-            if chosen_idx is None and cands:
-                chosen_idx = 0
-            if chosen_idx is None:
-                if space.k >= opts.maxdim:
-                    space.restart(
-                        [rng.standard_normal(space.k)
-                         + 1j * rng.standard_normal(space.k)]
-                    )
-                t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            # registry (a just-registered value now fails by construction)
+            cands = _unblocked(cand for i, cand in enumerate(cands)
+                               if i != chosen_idx)
+            if not cands:
+                t = _fresh_start()
                 continue
-            theta, c = cands[chosen_idx].theta, cands[chosen_idx].v
-            v = space.V @ c
-            nv = np.linalg.norm(v)
-            if nv > 0:
-                v = v / nv
-            r, resnorm, scale = _residual(problem, space, theta, c)
-        elif not sel_ok and resnorm <= opts.tol * scale:
-            # converged in residual yet rejected by the criterion: this is a
-            # re-found (or defective) eigenvalue; keep extraction from
-            # offering it again, otherwise the run livelocks on it
-            blocked.append(theta)
-            records.append(
-                ConvergenceRecord(outer, _theta_scalar(theta), resnorm / scale,
-                                  crit, "rejected: converged duplicate")
-            )
-            crit_vals.clear()
-            cands = [
-                cand for i, cand in enumerate(cands)
-                if i != chosen_idx
-                and not _is_blocked(cand.theta, blocked, opts.blocked_tol)
-            ]
-            chosen_idx = None
-            for idx in range(len(cands)):
-                if _crit(idx) < opts.eta:
-                    chosen_idx = idx
-                    break
-            if chosen_idx is None and cands:
-                chosen_idx = 0
+            crits, chosen_idx = _select()
             if chosen_idx is None:
-                if space.k >= opts.maxdim:
-                    space.restart(
-                        [rng.standard_normal(space.k)
-                         + 1j * rng.standard_normal(space.k)]
-                    )
-                t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                continue
+                chosen_idx = 0
             theta, c = cands[chosen_idx].theta, cands[chosen_idx].v
-            v = space.V @ c
-            nv = np.linalg.norm(v)
-            if nv > 0:
-                v = v / nv
+            v = _unit(space.V @ c)
             r, resnorm, scale = _residual(problem, space, theta, c)
         else:
             records.append(
@@ -539,14 +509,12 @@ def jd_solve(problem, options=None, v0=None, M=None):
 
         if space.k >= opts.maxdim:
             # keep criterion-passing pairs nearest the target, then fill up
-            passing = [i for i in range(len(cands)) if _crit(i) < opts.eta]
+            passing = [i for i in range(len(cands)) if crits[i] < opts.eta]
             failing = [i for i in range(len(cands)) if i not in set(passing)]
-            order = passing + failing
-            keep = order[: opts.mindim]
+            keep = (passing + failing)[: opts.mindim]
             if chosen_idx in keep:
                 keep.remove(chosen_idx)
-            keep = [chosen_idx] + keep
-            keep = keep[: opts.mindim]
+            keep = ([chosen_idx] + keep)[: opts.mindim]
             space.restart([cands[i].v for i in keep])
             records.append(
                 ConvergenceRecord(outer, _theta_scalar(theta), resnorm / scale,
@@ -557,7 +525,7 @@ def jd_solve(problem, options=None, v0=None, M=None):
             problem, theta, v, r, steps=opts.inner_steps, M=M
         )
         if not np.all(np.isfinite(t)) or np.linalg.norm(t) == 0.0:
-            t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            t = _rand()
 
     return JDResult(registry, records, outer, True, blocked)
 

@@ -7,8 +7,10 @@ preconditioner is an LU factorization of the problem evaluated at the target.
 The three consumers are
 
 * the Jacobi-Davidson correction equation
-  (I - P'(theta) v v* / (v* P'(theta) v)) P(theta) t = -r with t orthogonal
-  to v, solved by a few steps of right-preconditioned GMRES;
+  (I - p v* / (v* p)) P(theta) t = -r with t orthogonal to v and
+  p = P'(theta) v, solved by a few steps of right-preconditioned GMRES.
+  P(theta) is formed once per solve and applied in every GMRES step;
+  P'(theta) is never formed, p is the weighted sum of the products A_i v;
 * null vectors of (almost) singular matrices, used to obtain left
   eigenvectors from F(lam)* y = 0 once a right eigenpair has converged;
 * plain preconditioned solves.
@@ -16,6 +18,7 @@ The three consumers are
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -24,6 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import homogeneous as hom
+from .problems import dd_weights
 
 __all__ = [
     "LuPreconditioner",
@@ -134,6 +138,11 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
     for A M^{-1} and the returned x is M^{-1} of the inner solution, so
     reported residuals are true residuals of the original system.
 
+    The residual norm of each step's least-squares solution, which decides
+    when to stop, is tracked by Givens rotations applied to the Hessenberg
+    matrix H; the small least-squares problem min ||beta e_1 - H y|| is
+    solved once, after the last step, and gives x and the returned relres.
+
     Returns (x, relres, iterations); the residual sequence is monotone
     because each iterate minimizes over a growing Krylov space.
     """
@@ -163,10 +172,13 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
     V[:, 0] = r0 / beta
     e1 = np.zeros(maxiter + 1, dtype=complex)
     e1[0] = beta
+    # rotation j is [[cs[j], sn[j]], [-conj(sn[j]), cs[j]]] on rows j, j+1;
+    # g is the last entry of beta e_1 rotated, |g| the residual norm of the
+    # least-squares solution after the current step
+    cs, sn = [], []
+    g = beta + 0.0j
 
     k_used = 0
-    y = None
-    relres = beta / bnorm
     for k in range(maxiter):
         z = psolve(V[:, k]) if psolve is not None else V[:, k]
         w = matvec(z)
@@ -181,33 +193,76 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
         hnext = np.linalg.norm(w)
         H[k + 1, k] = hnext
         k_used = k + 1
-        y, res, _, _ = np.linalg.lstsq(H[: k + 2, : k + 1], e1[: k + 2], rcond=None)
-        relres = np.linalg.norm(e1[: k + 2] - H[: k + 2, : k + 1] @ y) / bnorm
+        h = H[: k + 1, k].tolist()
+        for j in range(k):
+            h[j], h[j + 1] = (cs[j] * h[j] + sn[j] * h[j + 1],
+                              cs[j] * h[j + 1] - sn[j].conjugate() * h[j])
+        c, s = _givens(h[k], float(hnext))
+        cs.append(c)
+        sn.append(s)
+        g = -s.conjugate() * g
+        relres = abs(g) / bnorm
         if hnext <= 1e-14 * max(1.0, beta):
             break  # happy breakdown: solution is exact in the Krylov space
         V[:, k + 1] = w / hnext
         if relres <= tol:
             break
+    Hk, gk = H[: k_used + 1, :k_used], e1[: k_used + 1]
+    y = np.linalg.lstsq(Hk, gk, rcond=None)[0]
+    relres = np.linalg.norm(gk - Hk @ y) / bnorm
     u = V[:, :k_used] @ y
     if psolve is not None:
         u = psolve(u)
     return x0 + u, float(relres), k_used
 
 
-def _theta_matrices(problem, theta):
-    """(F(theta), F'(theta)) for a scalar or projective theta."""
+def _givens(a, b):
+    """(c, s) with [[c, s], [-conj(s), c]] (a, b) = (r, 0); c real, b >= 0.
+
+    a = b = 0 gets the swap (c, s) = (0, 1): the residual norm carried to
+    the next row is then unchanged, as it must be for a zero column.
+    """
+    if a == 0.0:
+        return 0.0, 1.0 + 0.0j
+    if b == 0.0:
+        return 1.0, 0.0j
+    t = math.hypot(abs(a), b)
+    return abs(a) / t, (a / abs(a)) * (b / t)
+
+
+def _weighted_matvec(coeffs, w, x):
+    """(sum_i w[i] coeffs[i]) @ x from the products coeffs[i] @ x."""
+    acc = np.zeros(x.shape, dtype=complex)
+    for wi, A in zip(w, coeffs):
+        if wi != 0.0:
+            acc += wi * (A @ x)
+    return acc
+
+
+def _theta_eval(problem, theta):
+    """(F(theta), weights w of F'(theta) = sum_i w[i] A_i, residual scale).
+
+    theta is a scalar (F = P, F' = P') or a ProjectivePoint (the homogeneous
+    evaluation and DP at its canonical representative).
+    """
+    m = problem.degree
     if isinstance(theta, hom.ProjectivePoint):
         p = hom.scale_canonical(theta)
-        return hom.hom_eval(problem, p), hom.hom_D(problem, p)
+        return (hom.hom_eval(problem, p), hom.hom_D_weights(m, p),
+                hom.hom_tolerance_scale(problem, p))
     theta = complex(theta)
-    return problem.eval(theta), problem.derivative(theta)
+    return (problem.eval(theta), dd_weights(m, theta, theta),
+            problem.tolerance_scale(abs(theta)))
 
 
 def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6):
     """Jacobi-Davidson correction equation at a Ritz pair (theta, v).
 
     Solves (I - p v*/(v* p)) F(theta) t = -r for t orthogonal to v, where
-    p = F'(theta) v, with at most `steps` GMRES iterations.  The
+    p = F'(theta) v, with at most `steps` GMRES iterations.  F(theta) is
+    formed once and applied in every GMRES step; p is sum_i w[i] (A_i v)
+    with the derivative weights w (dd_weights at (theta, theta), or
+    hom_D_weights), so F'(theta) is never formed.  The
     preconditioner M (an LU at the target) is wrapped with the standard
     projected form so preconditioned iterates stay in the complement of v.
     In homogeneous mode theta is a ProjectivePoint and the homogeneous
@@ -218,8 +273,8 @@ def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6)
     """
     v = np.asarray(v, dtype=complex)
     r = np.asarray(r, dtype=complex)
-    Fmat, dF = _theta_matrices(problem, theta)
-    p = dF @ v
+    Fmat, dw, _ = _theta_eval(problem, theta)
+    p = _weighted_matvec(problem.coeffs, dw, v)
     vp = np.vdot(v, p)
     psolve = _as_psolve(M)
 
@@ -353,14 +408,7 @@ def left_eigenvector(problem, theta, rtol=1e-8, M=None, seed=0):
     LU factorization of F(theta)*; a preconditioner M is only consulted when
     F(theta) is not materializable.
     """
-    if isinstance(theta, hom.ProjectivePoint):
-        p = hom.scale_canonical(theta)
-        F = hom.hom_eval(problem, p)
-        scale = hom.hom_tolerance_scale(problem, p)
-    else:
-        theta = complex(theta)
-        F = problem.eval(theta)
-        scale = problem.tolerance_scale(abs(theta))
+    F, _, scale = _theta_eval(problem, theta)
     Z = F.conj().T
     if sp.issparse(Z):
         Z = Z.tocsr()

@@ -760,7 +760,9 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     projected correction.  A pair converges when all factor residuals meet
     the relative tolerance and the criterion passes; its left factor vectors
     are computed as adjoint null vectors, the parameter values are refined
-    by the two-sided tensor Rayleigh system, and the triplet is registered.
+    by the two-sided tensor Rayleigh system (kept only if every factor
+    residual still meets tol at the refined values), and the triplet is
+    registered with the residual of the values it stores.
     Values whose registration fails land on the blocked list.
 
     Returns MepResult; registry entries are MepTriplet in detection order.
@@ -806,16 +808,20 @@ def mep_subspace_solve(mep, options=None, v0s=None):
         """Indices of passing candidates in target order, walked lazily."""
         return (idx for idx in range(len(cands)) if _crit(idx) < cutoff)
 
+    def _residuals(values, vs):
+        """Factor residuals at (values, unit vs) and the worst relative one."""
+        rs = [to_dense_matvec(mep, i, values, vs[i]) for i in range(N)]
+        rels = [
+            float(np.linalg.norm(rs[i])) / mep.tolerance_scale(i, values)
+            for i in range(N)
+        ]
+        return rs, max(rels)
+
     def _full_pair(idx):
         c = cands[idx]
         vs = [spaces[i].V @ c.xs[i] for i in range(N)]
         vs = [v / np.linalg.norm(v) for v in vs]
-        rs = [to_dense_matvec(mep, i, c.values, vs[i]) for i in range(N)]
-        rels = [
-            float(np.linalg.norm(rs[i])) / mep.tolerance_scale(i, c.values)
-            for i in range(N)
-        ]
-        return c.values, vs, rs, max(rels)
+        return (c.values, vs) + _residuals(c.values, vs)
 
     def _fresh_start():
         """Random expansions, after restarting full spaces on a random one."""
@@ -870,12 +876,18 @@ def mep_subspace_solve(mep, options=None, v0s=None):
                                 seed=opts.seed + 77 * (len(registry) + 1) + i,
                             )
                         )
-                    reg_values = values
+                    # the refined tuple is registered only when it still
+                    # meets tol in every factor; it can be (slightly) worse
+                    # than the Ritz tuple
+                    reg_values, reg_res = values, relres
                     if opts.refine:
-                        reg_values = tensor_rayleigh(mep, vs, ys)
+                        refined = tensor_rayleigh(mep, vs, ys)
+                        refined_res = _residuals(refined, vs)[1]
+                        if refined_res <= opts.tol:
+                            reg_values, reg_res = refined, refined_res
                     mep_register(mep, registry, reg_values, vs, ys,
-                                 residual=relres, iteration=outer)
-                    records.append(MepRecord(outer, reg_values, relres, crit,
+                                 residual=reg_res, iteration=outer)
+                    records.append(MepRecord(outer, reg_values, reg_res, crit,
                                              "converged"))
                 except (DefectiveEigenvalueError,
                         linsolve.NullVectorError) as exc:

@@ -73,14 +73,17 @@ def dd_weights(degree, lam, theta):
 
     P[lam, theta] = sum_k w[k] A_k with w[k] = sum_{i=0}^{k-1} lam^i
     theta^(k-1-i) (and w[0] = 0).  Symmetric in (lam, theta); at lam = theta
-    the weights are those of P'.
+    the weights are those of P'.  lam and theta may be arrays that
+    broadcast against each other; the weights run along a new last axis.
     """
-    w = np.zeros(degree + 1, dtype=complex)
-    tpow = 1.0 + 0.0j
-    w[1] = 1.0
+    lam, theta = np.broadcast_arrays(np.asarray(lam, dtype=complex),
+                                     np.asarray(theta, dtype=complex))
+    w = np.zeros(lam.shape + (degree + 1,), dtype=complex)
+    tpow = np.ones_like(theta)
+    w[..., 1] = 1.0
     for k in range(2, degree + 1):
         tpow = tpow * theta
-        w[k] = lam * w[k - 1] + tpow
+        w[..., k] = lam * w[..., k - 1] + tpow
     return w
 
 
@@ -161,10 +164,23 @@ class PolyProblem:
         return self._norms2
 
     def eval(self, lam):
-        """P(lam) by Horner's scheme."""
-        P = self.coeffs[-1]
-        for A in reversed(self.coeffs[:-1]):
-            P = lam * P + A
+        """P(lam) by Horner's scheme.
+
+        Dense coefficients are accumulated in place in one new array (no
+        temporary per step, no write into a coefficient); sparse or mixed
+        ones use the plain expression lam * P + A.
+        """
+        coeffs = self.coeffs
+        if not all(isinstance(A, np.ndarray) for A in coeffs):
+            P = coeffs[-1]
+            for A in reversed(coeffs[:-1]):
+                P = lam * P + A
+            return P
+        P = np.multiply(coeffs[-1], lam, dtype=np.result_type(lam, *coeffs))
+        P += coeffs[-2]
+        for A in reversed(coeffs[:-2]):
+            P *= lam
+            P += A
         return P
 
     def derivative(self, lam):

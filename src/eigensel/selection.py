@@ -18,9 +18,18 @@ locking: no transformation of the problem, no growing projectors, and it
 works where eigenvectors of distinct eigenvalues (nearly) coincide.
 
 The registry is a plain list of EigenTriplet; criterion_value / passes /
-register are the operations on it.  Both scalar and homogeneous (projective)
-eigenvalue representations are supported; in homogeneous mode the divided
-difference and derivative are replaced by their projective counterparts.
+register are the operations on it, and candidate_criteria scores all Ritz
+pairs of a subspace method at once.  Both scalar and homogeneous
+(projective) eigenvalue representations are supported; in homogeneous mode
+the divided difference and derivative are replaced by their projective
+counterparts.
+
+For a polynomial the criterion needs only the rows y_i* A_k of each
+registered triplet, stacked as R.  Candidates (theta_j, V c_j) over a basis
+V are scored from G = R V: with the divided-difference weights w_ijk of
+F[lam_i, theta_j] = sum_k w_ijk A_k, the value for pair (i, j) is
+|sum_k w_ijk (G c_j)_ik| / (|denom_i| ||V c_j||), one contraction for all
+registry entries and candidates.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ __all__ = [
     "CandidatePair",
     "DefectiveEigenvalueError",
     "criterion_value",
+    "candidate_criteria",
     "passes",
     "register",
 ]
@@ -170,25 +180,31 @@ def _left_rows(problem, triplet):
     return rows
 
 
-def _pair_value(problem, triplet, cand_theta, v, mode):
-    """|y_i* F[lam_i, theta] v| / |denom_i| for one registered triplet."""
-    if not hasattr(problem, "coeffs"):
-        # general nonlinear problem: apply the divided-difference matrix
-        dd = problem.divided_difference(triplet.value, complex(cand_theta))
-        return abs(np.vdot(triplet.left, dd @ v)) / abs(triplet.denom)
-    rows_v = _left_rows(problem, triplet) @ v
+def _poly_criteria(problem, registry, G, C, thetas, mode):
+    """Criterion of the candidates (thetas[j], V C[:, j]) from G = R V.
+
+    R stacks _left_rows of the registry, so G holds y_i* A_k V in row
+    i (m+1) + k.  V is orthonormal (||V c|| = ||c||).  Returns the maximum
+    over the registry per candidate.
+    """
     m = problem.degree
+    GC = (G @ C).reshape(len(registry), m + 1, C.shape[1])
+    # w[i, j, k]: weight of A_k in F[lam_i, theta_j]
     if mode == "homogeneous":
-        p = triplet.point
-        q = hom.align(_candidate_point(cand_theta), p)
-        det = p.alpha * q.beta - q.alpha * p.beta
-        if abs(det) <= hom.SWITCH_TOL:
-            w = hom.hom_D_weights(m, p)
-        else:
-            w = (hom.hom_weights(m, p) - hom.hom_weights(m, q)) / det
+        w = hom.hom_dd_weights(m, [t.point for t in registry],
+                               [_candidate_point(th) for th in thetas])
     else:
-        w = dd_weights(m, triplet.value, complex(cand_theta))
-    return abs(np.dot(w, rows_v)) / abs(triplet.denom)
+        lam = np.array([complex(t.value) for t in registry])
+        theta = np.array([complex(th) for th in thetas])
+        w = dd_weights(m, lam[:, None], theta[None, :])
+    vals = np.abs(np.einsum("ijk,ikj->ij", w, GC))
+    vals /= (np.abs([t.denom for t in registry])[:, None]
+             * np.linalg.norm(C, axis=0))
+    return vals.max(axis=0)
+
+
+def _stacked_rows(problem, registry):
+    return np.vstack([_left_rows(problem, t) for t in registry])
 
 
 def criterion_value(problem, registry, cand, config=None):
@@ -196,9 +212,10 @@ def criterion_value(problem, registry, cand, config=None):
 
     An empty registry gives 0.0 (every candidate is new).  v is normalized
     defensively.  In homogeneous mode the projective divided difference is
-    used with the registered point first and the candidate aligned to it;
-    for polynomials the evaluation runs over cached rows y* A_k rather than
-    assembled divided-difference matrices.
+    used with the registered point first and the candidate aligned to it.
+    For polynomials this is candidate_criteria's contraction for the basis
+    V = [v]: it runs over the cached rows y* A_k, no divided-difference
+    matrix is assembled.
     """
     if config is None:
         config = SelectionConfig()
@@ -206,12 +223,35 @@ def criterion_value(problem, registry, cand, config=None):
         return 0.0
     v = np.asarray(cand.v)
     v = v / np.linalg.norm(v)
-    worst = 0.0
-    for t in registry:
-        val = _pair_value(problem, t, cand.theta, v, config.mode)
-        if val > worst:
-            worst = val
-    return worst
+    if not hasattr(problem, "coeffs"):
+        # general nonlinear problem: apply the divided-difference matrix
+        return max(
+            abs(np.vdot(t.left, problem.divided_difference(
+                t.value, complex(cand.theta)) @ v)) / abs(t.denom)
+            for t in registry
+        )
+    G = _stacked_rows(problem, registry) @ v[:, None]
+    return float(_poly_criteria(problem, registry, G, np.ones((1, 1)),
+                                [cand.theta], config.mode)[0])
+
+
+def candidate_criteria(problem, registry, V, cands, config=None):
+    """criterion_value of every candidate (theta, V c) of a polynomial.
+
+    V has orthonormal columns and cands are CandidatePair(theta, c) with c
+    the coefficients of the candidate vector in V.  All candidates are
+    scored in one contraction with G = R V (R the stacked cached rows of
+    the registry), so no candidate vector V c is formed.  Returns an array
+    with one value per candidate, zeros for an empty registry.
+    """
+    if config is None:
+        config = SelectionConfig()
+    if not registry:
+        return np.zeros(len(cands))
+    G = _stacked_rows(problem, registry) @ V
+    C = np.column_stack([c.v for c in cands])
+    return _poly_criteria(problem, registry, G, C,
+                          [c.theta for c in cands], config.mode)
 
 
 def passes(problem, registry, cand, config=None):

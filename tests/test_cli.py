@@ -1,7 +1,9 @@
 """Batch front end: file formats, subcommands, exit codes."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,10 +255,14 @@ class TestReportAndErrors:
         assert exc.value.code == 2
 
     def test_module_entry_point(self, tmp_path):
+        # the package is importable from src without an installation
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "eigensel.cli", "generate", "example2x2",
              "--out", str(tmp_path / "p")],
             capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "wrote" in proc.stdout

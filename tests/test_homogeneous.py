@@ -149,6 +149,13 @@ class TestHomogeneousEvaluation:
         np.testing.assert_allclose(ch * (1 + abs(t.value) ** 2), cs, rtol=1e-10)
 
 
+class TestWeightedSum:
+    def test_all_zero_weights(self):
+        p = gen_random_pep(4, 2, seed=0)
+        got = hom._weighted_sum(p.coeffs, np.zeros(3, dtype=complex))
+        assert np.array_equal(got, np.zeros((4, 4)))
+
+
 class TestHomogeneousDividedDifference:
     def test_two_point_quotient(self):
         p = gen_random_pep(4, 2, seed=6)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from eigensel import homogeneous as hom
+from eigensel import jdsolver
 from eigensel.jdsolver import (
     JDOptions,
     OracleCapError,
@@ -254,3 +255,55 @@ class TestExtractionHelpers:
         dists = [abs(c.theta - 0.3) for c in cands]
         assert dists == sorted(dists)
         assert len(cands) == 8  # m*k projected eigenvalues, all finite here
+
+
+class TestIterationCost:
+    """What one outer iteration may touch: the derivative matrix only when
+    a triplet is registered, and one criterion contraction for all
+    candidates rather than criterion_value per candidate."""
+
+    @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_derivative_formed_only_inside_register(self, monkeypatch, mode,
+                                                   sparse):
+        if sparse:
+            p = gen_gyroscopic(60, seed=0)
+            opts = JDOptions(target=5j, num_pairs=3, tol=1e-8, mindim=6,
+                             maxdim=12, max_outer=150, mode=mode, seed=0)
+        else:
+            p = gen_random_pep(30, 2, seed=1)
+            opts = JDOptions(target=0.0, num_pairs=3, tol=1e-9, mindim=6,
+                             maxdim=12, max_outer=150, mode=mode, seed=1)
+        calls = {"inside": 0, "outside": 0, "register": 0, "criterion": 0}
+        state = {"in_register": False}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls["inside" if state["in_register"] else "outside"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def register(*args, **kwargs):
+            calls["register"] += 1
+            state["in_register"] = True
+            try:
+                return real_register(*args, **kwargs)
+            finally:
+                state["in_register"] = False
+
+        def criterion_value(*args, **kwargs):
+            calls["criterion"] += 1
+            return real_criterion(*args, **kwargs)
+
+        real_register = jdsolver.register
+        real_criterion = jdsolver.criterion_value
+        monkeypatch.setattr(PolyProblem, "derivative",
+                            counted(PolyProblem.derivative))
+        monkeypatch.setattr(hom, "hom_D", counted(hom.hom_D))
+        monkeypatch.setattr(jdsolver, "register", register)
+        monkeypatch.setattr(jdsolver, "criterion_value", criterion_value)
+        res = jd_solve(p, opts)
+        assert len(res.registry) == 3
+        assert calls["outside"] == 0
+        assert 0 < calls["inside"] <= 2 * calls["register"]
+        assert calls["criterion"] == 0

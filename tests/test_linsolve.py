@@ -6,6 +6,7 @@ iteratively here.
 import numpy as np
 import pytest
 
+from eigensel import homogeneous as hom
 from eigensel import linsolve
 from eigensel.jdsolver import oracle_all_eigenpairs
 from eigensel.linsolve import (
@@ -183,3 +184,137 @@ class TestProjectedCorrection:
         r = p.matvec(o.value, o.x)
         t = projected_correction_solve(p, o.value, o.x, r, steps=10)
         assert np.linalg.norm(t) <= 1e-6
+
+
+def gmres_lstsq_reference(A, b, tol, maxiter, M=None):
+    """Right-preconditioned GMRES that solves the least-squares problem
+    after every Arnoldi step (the form gmres had before it tracked the
+    residual by Givens rotations)."""
+    matvec = A if callable(A) else (lambda x: A @ x)
+    psolve = None if M is None else M.solve
+    b = np.asarray(b, dtype=complex)
+    n = b.shape[0]
+    maxiter = min(maxiter, n)
+    bnorm = np.linalg.norm(b)
+    beta = bnorm
+    V = np.empty((n, maxiter + 1), dtype=complex)
+    H = np.zeros((maxiter + 1, maxiter), dtype=complex)
+    V[:, 0] = b / beta
+    e1 = np.zeros(maxiter + 1, dtype=complex)
+    e1[0] = beta
+    for k in range(maxiter):
+        z = psolve(V[:, k]) if psolve is not None else V[:, k]
+        w = matvec(z)
+        for j in range(k + 1):
+            H[j, k] = np.vdot(V[:, j], w)
+            w = w - H[j, k] * V[:, j]
+        for j in range(k + 1):
+            c = np.vdot(V[:, j], w)
+            H[j, k] += c
+            w = w - c * V[:, j]
+        hnext = np.linalg.norm(w)
+        H[k + 1, k] = hnext
+        k_used = k + 1
+        y = np.linalg.lstsq(H[: k + 2, : k + 1], e1[: k + 2], rcond=None)[0]
+        relres = np.linalg.norm(e1[: k + 2] - H[: k + 2, : k + 1] @ y) / bnorm
+        if hnext <= 1e-14 * max(1.0, beta):
+            break
+        V[:, k + 1] = w / hnext
+        if relres <= tol:
+            break
+    u = V[:, :k_used] @ y
+    if psolve is not None:
+        u = psolve(u)
+    return u, relres, k_used
+
+
+class TestGmresRotations:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("maxiter", [1, 4, 12, 40])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    def test_iterate_bitwise_equal_to_per_step_lstsq(self, seed, maxiter, tol):
+        A, b = random_system(40, seed, cond_boost=-4.0)
+        x, relres, its = gmres(A, b, tol=tol, maxiter=maxiter)
+        x_ref, relres_ref, its_ref = gmres_lstsq_reference(A, b, tol, maxiter)
+        assert its == its_ref
+        assert np.array_equal(x, x_ref)
+        assert relres == relres_ref
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_preconditioned_bitwise_equal(self, seed):
+        A, b = random_system(30, seed)
+        rng = np.random.default_rng(seed + 50)
+        M = LuPreconditioner(A + 0.5 * (rng.standard_normal((30, 30))
+                                        + 1j * rng.standard_normal((30, 30))))
+        x, _, its = gmres(A, b, tol=1e-9, maxiter=15, M=M)
+        x_ref, _, its_ref = gmres_lstsq_reference(A, b, 1e-9, 15, M=M)
+        assert its == its_ref
+        assert np.array_equal(x, x_ref)
+
+    def test_full_space_residual_reaches_rounding_level(self):
+        A, b = random_system(12, 3)
+        x, relres, its = gmres(A, b, tol=0.0, maxiter=12)
+        assert its == 12
+        assert relres <= 1e-12
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+class TestDerivativeProduct:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [0.0, 0.4 - 1.3j, 7.0 + 2.0j])
+    def test_standard_matches_derivative_matrix(self, m, theta):
+        p = gen_random_pep(20, m, seed=m)
+        v = np.random.default_rng(m).standard_normal(20) + 0.5j
+        _, w, _ = linsolve._theta_eval(p, theta)
+        got = linsolve._weighted_matvec(p.coeffs, w, v)
+        want = p.derivative(theta) @ v
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("pt", [hom.from_scalar(0.3 - 2.0j),
+                                    hom.ProjectivePoint(1.0, 0.0),
+                                    hom.ProjectivePoint(0.8j, 0.1)])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_homogeneous_matches_hom_D(self, pt, sparse):
+        p = gen_gyroscopic(30, seed=2) if sparse else gen_random_pep(20, 3, seed=5)
+        v = np.random.default_rng(7).standard_normal(p.n) + 0.25j
+        _, w, _ = linsolve._theta_eval(p, pt)
+        got = linsolve._weighted_matvec(p.coeffs, w, v)
+        want = hom.hom_D(p, hom.scale_canonical(pt)) @ v
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_correction_forms_no_derivative_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("derivative matrix formed")
+
+        p = gen_random_pep(15, 2, seed=2)
+        monkeypatch.setattr(type(p), "derivative", forbidden)
+        monkeypatch.setattr(hom, "hom_D", forbidden)
+        v = np.random.default_rng(3).standard_normal(15) + 0j
+        v /= np.linalg.norm(v)
+        for theta in (0.2 + 0.1j, hom.from_scalar(0.2 + 0.1j)):
+            if isinstance(theta, hom.ProjectivePoint):
+                r = hom.hom_eval(p, theta) @ v
+            else:
+                r = p.matvec(theta, v)
+            t = projected_correction_solve(p, theta, v, r, steps=8)
+            assert np.all(np.isfinite(t))
+
+
+class TestGivens:
+    @pytest.mark.parametrize("a, b", [(3.0 - 4.0j, 2.0), (0.0j, 5.0),
+                                      (1.0 + 1.0j, 0.0), (0.0j, 0.0)])
+    def test_rotation_is_unitary_and_zeroes_b(self, a, b):
+        c, s = linsolve._givens(a, b)
+        G = np.array([[c, s], [-np.conj(s), c]])
+        np.testing.assert_allclose(G @ G.conj().T, np.eye(2), atol=1e-15)
+        r = G @ np.array([a, b])
+        assert abs(r[1]) <= 1e-15
+
+    def test_singular_operator_keeps_residual(self):
+        # A maps the second Krylov direction to zero: the least-squares
+        # residual after that step equals the one before it
+        A = np.diag([1.0, 0.0]).astype(complex)
+        b = np.array([1.0, 1.0], dtype=complex)
+        x, relres, its = gmres(A, b, tol=0.0, maxiter=2)
+        want = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        np.testing.assert_allclose(relres, want, rtol=1e-12)

@@ -429,6 +429,52 @@ class TestProjectedExtraction:
             assert min(dist(t.values, u.values) for u in dense) <= 1e-8
 
 
+def worst_factor_residual(mep, t):
+    """max_i ||T_i(values) x_i|| / (scale_i ||x_i||) of a registered triplet."""
+    return max(
+        float(np.linalg.norm(to_dense_matvec(mep, i, t.values, x)))
+        / (mep.tolerance_scale(i, t.values) * float(np.linalg.norm(x)))
+        for i, x in enumerate(t.xs)
+    )
+
+
+class TestRefinedRegistration:
+    """The Rayleigh-refined tuple is registered only if it meets tol."""
+
+    def test_worse_refinement_falls_back_to_ritz_tuple(self, monkeypatch):
+        m = gen_fourpoint_bvp(12)
+        opts = MepOptions(target=(0.0, 0.0, 0.0), num_pairs=2, tol=1e-10,
+                          mindim=4, maxdim=8, max_outer=60, seed=0)
+        proposed = []
+
+        def worse(mep, xs, ys):
+            values = tuple(v * (1 + 1e-6) for v in tensor_rayleigh(mep, xs, ys))
+            proposed.append(values)
+            return values
+
+        monkeypatch.setattr(mepmod, "tensor_rayleigh", worse)
+        res = mep_subspace_solve(m, opts)
+        assert len(res.registry) == 2 and len(proposed) == 2
+        for t, bad in zip(res.registry, proposed):
+            assert t.values != bad
+            rel = worst_factor_residual(m, t)
+            assert rel <= opts.tol
+            np.testing.assert_allclose(t.residual, rel, rtol=1e-6)
+
+    def test_benchmark_seed_registers_only_tuples_within_tol(self):
+        # the full bvp3p benchmark setting; at this seed the refinement of
+        # the fourth triplet raised its factor-2 residual to 1.004e-10
+        m = gen_fourpoint_bvp(100)
+        opts = MepOptions(target=(0.0, 0.0, 0.0), num_pairs=9, tol=1e-10,
+                          mindim=3, maxdim=4, max_outer=200, seed=411078485)
+        res = mep_subspace_solve(m, opts)
+        assert len(res.registry) == 9
+        for t in res.registry:
+            rel = worst_factor_residual(m, t)
+            assert rel <= opts.tol
+            np.testing.assert_allclose(t.residual, rel, rtol=1e-6)
+
+
 class TestBoundaryValueProblem:
     def test_cheb_differentiates_polynomials(self):
         D, x = cheb(8)

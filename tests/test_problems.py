@@ -6,6 +6,7 @@ numpy.linalg reference norms.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,45 @@ class TestEvalAndDerivative:
         got = p.matvec(2.0 + 1j, x)
         want = to_dense(p.eval(2.0 + 1j)) @ x
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def horner_with_temporaries(coeffs, lam):
+    P = coeffs[-1]
+    for A in reversed(coeffs[:-1]):
+        P = lam * P + A
+    return P
+
+
+class TestInPlaceHorner:
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("lam", [0.0, -2.5, 0.3 + 1.7j, 40.0 - 3.0j])
+    def test_dense_matches_temporaries_and_keeps_coefficients(self, m, lam):
+        p = random_problem(12, m, seed=m)
+        before = [A.copy() for A in p.coeffs]
+        want = horner_with_temporaries(p.coeffs, lam)
+        got = p.eval(lam)
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for A, B in zip(p.coeffs, before):
+            assert np.array_equal(A, B)
+        assert all(got is not A for A in p.coeffs)
+
+    def test_real_argument_keeps_real_dtype(self):
+        p = PolyProblem([np.eye(3), np.ones((3, 3)), np.diag([1.0, 2.0, 3.0])])
+        assert p.eval(2.0).dtype == np.float64
+        np.testing.assert_array_equal(
+            p.eval(2.0), horner_with_temporaries(p.coeffs, 2.0))
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0 - 2.0j])
+    def test_sparse_keeps_expression(self, lam):
+        p = gen_gyroscopic(25, seed=1)
+        before = [A.copy() for A in p.coeffs]
+        got = p.eval(lam)
+        assert sp.issparse(got)
+        want = horner_with_temporaries(p.coeffs, lam)
+        assert (got != want).nnz == 0
+        for A, B in zip(p.coeffs, before):
+            assert (A != B).nnz == 0
 
 
 class TestDividedDifference:

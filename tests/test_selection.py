@@ -19,6 +19,7 @@ from eigensel.selection import (
     DefectiveEigenvalueError,
     EigenTriplet,
     SelectionConfig,
+    candidate_criteria,
     criterion_value,
     passes,
     register,
@@ -101,6 +102,104 @@ class TestCriterionValue:
             cp = criterion_value(p, registry, cand)
             cf = criterion_value(f, registry, cand)
             np.testing.assert_allclose(cf, cp, rtol=1e-6, atol=1e-10)
+
+
+def textbook_criterion(problem, registry, theta, v, homogeneous):
+    """max_i |y_i* F[lam_i, theta] v| / |y_i* F'(lam_i) x_i| for unit v, with
+    F[., .] assembled as a difference quotient of evaluated matrices."""
+    v = v / np.linalg.norm(v)
+    vals = []
+    for t in registry:
+        if homogeneous:
+            p = t.point
+            q = hom.align(theta if isinstance(theta, hom.ProjectivePoint)
+                          else hom.from_scalar(theta), p)
+            det = p.alpha * q.beta - q.alpha * p.beta
+            if abs(det) <= hom.SWITCH_TOL:
+                F = hom.hom_D(problem, p)
+            else:
+                F = (hom.hom_eval(problem, p) - hom.hom_eval(problem, q)) / det
+            den = np.vdot(t.left, hom.hom_D(problem, p) @ t.right)
+        else:
+            F = (problem.eval(t.value) - problem.eval(theta)) / (t.value - theta)
+            den = np.vdot(t.left, problem.derivative(t.value) @ t.right)
+        vals.append(abs(np.vdot(t.left, F @ v)) / abs(den))
+    return max(vals)
+
+
+class TestCandidateCriteria:
+    """candidate_criteria (one contraction for all candidates) against the
+    textbook formula applied to one candidate vector at a time."""
+
+    @staticmethod
+    def basis(n, k, seed):
+        rng = np.random.default_rng(seed)
+        V, _ = np.linalg.qr(rng.standard_normal((n, k))
+                            + 1j * rng.standard_normal((n, k)))
+        C = rng.standard_normal((k, 7)) + 1j * rng.standard_normal((k, 7))
+        return V, C
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_standard_matches_textbook(self, m):
+        p = gen_random_pep(9, m, seed=10 + m)
+        registry, rest = oracle_registry(p, 3)
+        V, C = self.basis(9, 5, m)
+        # last candidate: a registered eigenvector in the space
+        V[:, 0] = registry[0].right
+        V, _ = np.linalg.qr(V)
+        C[:, -1] = V.conj().T @ registry[0].right
+        thetas = [0.4 - 1.2j, -2.0, 3j, rest[0].value, 0.1, 1.0 + 1.0j,
+                  registry[0].value + 1e-3]
+        cands = [CandidatePair(th, C[:, j]) for j, th in enumerate(thetas)]
+        got = candidate_criteria(p, registry, V, cands)
+        want = [textbook_criterion(p, registry, th, V @ C[:, j], False)
+                for j, th in enumerate(thetas)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert got[-1] > 0.9  # a repeat of a registered pair fails
+
+    def test_homogeneous_matches_textbook_inside_switch_tol(self):
+        p = gen_random_pep(9, 2, seed=21)
+        cfg = SelectionConfig(mode="homogeneous")
+        registry = []
+        pairs = [o for o in oracle_all_eigenpairs(p) if o.ok][:3]
+        for o in pairs:
+            register(p, registry, o.point, o.x, o.y, config=cfg)
+        V, C = self.basis(9, 6, 5)
+        a = registry[1].point
+        near = hom.ProjectivePoint(a.alpha + 1e-10, a.beta - 1e-10j)
+        assert hom.chordal_distance(near, a) <= hom.SWITCH_TOL
+        points = [near, hom.ProjectivePoint(1.0, 0.0),
+                  hom.from_scalar(0.2 - 0.7j), a.scaled(np.exp(0.4j)),
+                  hom.from_scalar(-3.0), hom.ProjectivePoint(0.6j, -0.8),
+                  registry[0].point]
+        cands = [CandidatePair(q, C[:, j]) for j, q in enumerate(points)]
+        got = candidate_criteria(p, registry, V, cands, cfg)
+        want = [textbook_criterion(p, registry, q, V @ C[:, j], True)
+                for j, q in enumerate(points)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
+    def test_criterion_value_is_the_one_candidate_case(self, mode):
+        p = gen_random_pep(7, 2, seed=30)
+        cfg = SelectionConfig(mode=mode)
+        registry = []
+        for o in [o for o in oracle_all_eigenpairs(p) if o.ok][:2]:
+            register(p, registry,
+                     o.point if mode == "homogeneous" else o.value,
+                     o.x, o.y, config=cfg)
+        V, C = self.basis(7, 4, 6)
+        theta = 0.3 + 0.2j
+        one = criterion_value(p, registry, CandidatePair(theta, V @ C[:, 0]),
+                              cfg)
+        many = candidate_criteria(p, registry, V,
+                                  [CandidatePair(theta, C[:, 0])], cfg)
+        np.testing.assert_allclose(one, many[0], rtol=1e-12)
+
+    def test_empty_registry_scores_zero(self):
+        p = gen_random_pep(5, 2, seed=0)
+        V, C = self.basis(5, 3, 0)
+        cands = [CandidatePair(0.5, C[:, 0]), CandidatePair(1.0, C[:, 1])]
+        assert np.array_equal(candidate_criteria(p, [], V, cands), [0.0, 0.0])
 
 
 class TestExampleDiscrimination:
