@@ -14,7 +14,7 @@ Layout:
     homogeneous  projective eigenvalue points, infinite eigenvalues
     selection    registry, divided-difference criterion, registration
     linsolve     GMRES, LU preconditioning, correction and null-vector solves
-    jdsolver     Jacobi-Davidson loop for one-parameter problems + oracle
+    jdsolver     Jacobi-Davidson loop for one-parameter problems + oracles
     mep          linear two/three-parameter problems, tensor criterion, solver
 """
 
@@ -26,6 +26,7 @@ from .jdsolver import (
     OracleCapError,
     jd_solve,
     oracle_all_eigenpairs,
+    oracle_eigenvalues,
 )
 from .mep import (
     LinearMep2,
@@ -71,6 +72,7 @@ __all__ = [
     "OracleCapError",
     "jd_solve",
     "oracle_all_eigenpairs",
+    "oracle_eigenvalues",
     "LinearMep2",
     "LinearMep3",
     "MepOptions",

@@ -27,7 +27,9 @@ or an unobtainable left vector) is remembered on a blocked list and excluded
 from later extraction, otherwise the solver would re-select it forever.
 
 oracle_all_eigenpairs provides the dense brute-force reference (all 2n / mn
-eigenvalues with left and right eigenvectors) used for verification.
+eigenvalues with left and right eigenvectors) used by the tests;
+oracle_eigenvalues gives the same spectrum from eigenvalue-only QZ and is what
+``eigensel verify`` matches returned pairs against.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "gal1_refine",
     "jd_solve",
     "oracle_all_eigenpairs",
+    "oracle_eigenvalues",
 ]
 
 ORACLE_CAP_ENV = "EIGENSEL_ORACLE_CAP"
@@ -570,6 +573,27 @@ def _oracle_cap(cap):
     return int(env) if env else DEFAULT_ORACLE_CAP
 
 
+def _oracle_pencil(problem, cap):
+    """Dense companion pencil (X, Y) of a PEP; OracleCapError past the cap."""
+    n = problem.n
+    m = problem.degree
+    limit = _oracle_cap(cap)
+    if m * n > limit:
+        raise OracleCapError(
+            f"linearization dimension {m * n} exceeds the oracle cap {limit}; "
+            f"raise {ORACLE_CAP_ENV} to override"
+        )
+    return _linearize([to_dense(A).astype(complex) for A in problem.coeffs])
+
+
+def _oracle_point(a, b):
+    """Canonical point of a QZ eigenvalue (a, b); None if it is degenerate."""
+    nrm = math.hypot(abs(a), abs(b))
+    if nrm < 1e-280 or not np.isfinite(nrm):
+        return None
+    return hom.scale_canonical(hom.ProjectivePoint(a / nrm, b / nrm))
+
+
 def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
     """All eigenpairs of a PEP by dense linearization (brute force).
 
@@ -586,24 +610,15 @@ def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
     """
     n = problem.n
     m = problem.degree
-    limit = _oracle_cap(cap)
-    if m * n > limit:
-        raise OracleCapError(
-            f"linearization dimension {m * n} exceeds the oracle cap {limit}; "
-            f"raise {ORACLE_CAP_ENV} to override"
-        )
-    dense = [to_dense(A).astype(complex) for A in problem.coeffs]
-    X, Y = _linearize(dense)
+    X, Y = _oracle_pencil(problem, cap)
     ab, VL, VR = sla.eig(X, Y, left=True, right=True, homogeneous_eigvals=True,
                          check_finite=False)
     alphas, betas = ab
     pairs = []
     for j in range(alphas.shape[0]):
-        a, b = alphas[j], betas[j]
-        nrm = math.hypot(abs(a), abs(b))
-        if nrm < 1e-280 or not np.isfinite(nrm):
+        pt = _oracle_point(alphas[j], betas[j])
+        if pt is None:
             continue
-        pt = hom.scale_canonical(hom.ProjectivePoint(a / nrm, b / nrm))
         x = _best_block(VR[:, j], n)
         y = VL[(m - 1) * n:, j]
         ny = np.linalg.norm(y)
@@ -626,3 +641,19 @@ def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
                        ok=(rr <= residual_rtol and rl <= residual_rtol))
         )
     return pairs
+
+
+def oracle_eigenvalues(problem, cap=None):
+    """All eigenvalues of a PEP by dense linearization, without vectors.
+
+    Eigenvalue-only QZ on the same companion pencil as oracle_all_eigenpairs
+    (no Q, Z accumulation and no eigenvector back-substitution).  Returns the
+    canonical ProjectivePoints in QZ order.  Degenerate values (alpha = beta
+    = 0 or not finite) are dropped as there; unlike there, a value is not
+    dropped for a vanishing left vector block, which has none.  Same cap.
+    """
+    X, Y = _oracle_pencil(problem, cap)
+    alphas, betas = sla.eigvals(X, Y, homogeneous_eigvals=True,
+                                check_finite=False)
+    points = (_oracle_point(a, b) for a, b in zip(alphas, betas))
+    return [pt for pt in points if pt is not None]

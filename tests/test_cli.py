@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigensel import cli, mmio
+from eigensel import cli, jdsolver, mmio
 from eigensel.mep import LinearMep3
 from eigensel.problems import PolyProblem
 
@@ -159,6 +159,93 @@ class TestSolveAndVerify:
         rc = cli.main(["verify", "--problem", manifest,
                        "--results", str(outdir / "results.json")])
         assert rc == 0
+
+
+class TestVerifyPep:
+    @staticmethod
+    def verify(manifest, path, capsys):
+        capsys.readouterr()
+        rc = cli.main(["verify", "--problem", manifest, "--results", str(path)])
+        return rc, capsys.readouterr().out
+
+    @staticmethod
+    def edit_first_pair(outdir, edit):
+        path = outdir / "results.json"
+        results = json.loads(path.read_text())
+        edit(results["pairs"][0])
+        path.write_text(json.dumps(results))
+        return path
+
+    def test_two_sided_oracle_not_needed(self, tmp_path, capsys, monkeypatch):
+        manifest, outdir = solve_fixture(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify must not compute eigenvectors")
+
+        monkeypatch.setattr(jdsolver, "oracle_all_eigenpairs", refuse)
+        rc, out = self.verify(manifest, outdir / "results.json", capsys)
+        assert rc == 0
+        assert "verdict: PASS" in out
+
+    def test_moved_value_fails(self, tmp_path, capsys):
+        manifest, outdir = solve_fixture(tmp_path)
+
+        def move(pair):
+            pair["value"] = [v * (1 + 1e-4) for v in pair["value"]]
+
+        rc, out = self.verify(manifest, self.edit_first_pair(outdir, move),
+                              capsys)
+        assert rc == 4
+        assert "max mismatch 1.000e-04 (allowed 1.0e-06)" in out
+        assert "verdict: FAIL" in out
+
+    def test_residual_ignores_vector_scale(self, tmp_path, capsys):
+        manifest, outdir = solve_fixture(tmp_path)
+
+        def tilt(pair):
+            # a residual of about 3e-8, well above rounding and under 1e-6
+            pair["right"]["re"][1] += 1e-7
+
+        path = self.edit_first_pair(outdir, tilt)
+        _, before = self.verify(manifest, path, capsys)
+        def scale(pair):
+            pair["right"] = {key: [1e3 * v for v in pair["right"][key]]
+                             for key in ("re", "im")}
+
+        path = self.edit_first_pair(outdir, scale)
+        rc, after = self.verify(manifest, path, capsys)
+        assert rc == 0
+        assert "verdict: PASS" in after
+        assert after.splitlines()[0] == before.splitlines()[0]
+
+    @pytest.mark.parametrize("scale", [1e-9, 0.0, float("nan")])
+    def test_small_wrong_vector_fails(self, tmp_path, capsys, scale):
+        manifest, outdir = solve_fixture(tmp_path)
+
+        def wrong(pair):
+            # eigenvalues 1, 2 live on e1 and 3, 4 on e2: take the other axis
+            axis = [0.0, scale] if abs(complex(*pair["value"])) < 2.5 \
+                else [scale, 0.0]
+            pair["right"] = {"re": axis, "im": [0.0, 0.0]}
+
+        path = self.edit_first_pair(outdir, wrong)
+        rc, out = self.verify(manifest, path, capsys)
+        assert rc == 4
+        assert "verdict: FAIL" in out
+
+    def test_cap_skip(self, tmp_path, capsys, monkeypatch):
+        d = tmp_path / "pep"
+        assert cli.main(["generate", "random_pep", "--n", "6",
+                         "--out", str(d)]) == 0
+        manifest = str(d / "manifest.json")
+        outdir = tmp_path / "run"
+        cli.main(["solve", "--problem", manifest, "--out", str(outdir),
+                  "--num-pairs", "1", "--mindim", "2", "--maxdim", "6"])
+        monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "10")
+        rc, out = self.verify(manifest, outdir / "results.json", capsys)
+        assert rc == 0
+        assert "SKIPPED" in out
+        assert "verdict" not in out
 
 
 class TestMepFlow:

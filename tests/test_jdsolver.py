@@ -19,6 +19,7 @@ from eigensel.jdsolver import (
     gal1_refine,
     jd_solve,
     oracle_all_eigenpairs,
+    oracle_eigenvalues,
 )
 from eigensel.problems import (
     PolyProblem,
@@ -74,6 +75,39 @@ class TestOracle:
             oracle_all_eigenpairs(p)
         monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "50")
         assert len(oracle_all_eigenpairs(p)) == 12
+
+
+class TestOracleEigenvalues:
+    """Eigenvalue-only QZ gives the two-sided oracle's points, in order."""
+
+    @staticmethod
+    def assert_same_points(p):
+        full = [o.point for o in oracle_all_eigenpairs(p)]
+        points = oracle_eigenvalues(p)
+        assert len(points) == len(full)
+        for q, o in zip(points, full):
+            assert q.is_infinite == o.is_infinite
+            assert hom.chordal_distance(q, o) <= 1e-12
+        return points
+
+    def test_random_quadratic(self):
+        points = self.assert_same_points(gen_random_pep(40, 2, seed=3))
+        assert len(points) == 80
+
+    def test_cubic(self):
+        points = self.assert_same_points(gen_random_pep(12, 3, seed=4))
+        assert len(points) == 36
+
+    def test_singular_leading_coefficient(self):
+        rng = np.random.default_rng(5)
+        A0, A1 = (rng.standard_normal((8, 8)) for _ in range(2))
+        A2 = np.diag([1.0] * 5 + [0.0] * 3)
+        points = self.assert_same_points(PolyProblem([A0, A1, A2]))
+        assert sum(q.is_infinite for q in points) == 3
+
+    def test_cap_enforced(self):
+        with pytest.raises(OracleCapError):
+            oracle_eigenvalues(gen_random_pep(6, 2, seed=2), cap=5)
 
 
 class TestOptions:
