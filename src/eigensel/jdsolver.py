@@ -74,6 +74,10 @@ DEFAULT_ORACLE_CAP = 2000
 # |beta| below this on a normalized projected eigenvalue counts as infinite.
 _BETA_CUT = 1e-12
 
+# Columns a SearchSpace holds before its first growth; doubling from here
+# fits jd_solve's default maxdim of 20 in one growth.
+_INITIAL_CAPACITY = 10
+
 
 @dataclass
 class JDOptions:
@@ -157,19 +161,51 @@ class SearchSpace:
 
     mats is the list of operator matrices acting on this space (the PEP
     coefficients, or one factor's matrices of a multiparameter problem).
+
+    V, every W_i and every H_i live in preallocated column-major buffers
+    whose capacity doubles when an append finds them full (capped at n).
+    The properties V, W and H are views of the first k columns (rows and
+    columns for H_i); a view is valid until the next append or restart,
+    which write into the same buffers.  An append writes one column of V
+    and of each W_i and one row and column of each H_i.
     """
 
     def __init__(self, mats, rng):
         self.mats = mats
         self.rng = rng
+        self.k = 0
         n = mats[0].shape[0]
-        self.V = np.empty((n, 0), dtype=complex)
-        self.W = [np.empty((n, 0), dtype=complex) for _ in mats]
-        self.H = [np.empty((0, 0), dtype=complex) for _ in mats]
+        cap = min(n, _INITIAL_CAPACITY)
+        self._V = np.empty((n, cap), dtype=complex, order="F")
+        self._W = [np.empty((n, cap), dtype=complex, order="F") for _ in mats]
+        self._H = [np.empty((cap, cap), dtype=complex, order="F") for _ in mats]
 
     @property
-    def k(self):
-        return self.V.shape[1]
+    def V(self):
+        return self._V[:, : self.k]
+
+    @property
+    def W(self):
+        return [W[:, : self.k] for W in self._W]
+
+    @property
+    def H(self):
+        return [H[: self.k, : self.k] for H in self._H]
+
+    def _grow(self):
+        """Double the buffers' capacity (capped at n), keeping the k columns."""
+        n, cap = self._V.shape
+        cap = min(n, 2 * cap)
+        cols, block = np.s_[:, : self.k], np.s_[: self.k, : self.k]
+
+        def moved(old, shape, used):
+            new = np.empty(shape, dtype=complex, order="F")
+            new[used] = old[used]
+            return new
+
+        self._V = moved(self._V, (n, cap), cols)
+        self._W = [moved(W, (n, cap), cols) for W in self._W]
+        self._H = [moved(H, (cap, cap), block) for H in self._H]
 
     def append(self, t):
         """Orthonormalize t against V (rgs) and extend V, W_i, H_i.
@@ -177,21 +213,23 @@ class SearchSpace:
         No-op once V spans the whole space: the projected problem is then
         exact and no new direction exists.
         """
-        if self.k >= self.V.shape[0]:
+        n = self._V.shape[0]
+        k = self.k
+        if k >= n:
             return None
         v = rgs(self.V, t, self.rng)
-        k = self.k
-        self.V = np.column_stack([self.V, v])
-        for i, A in enumerate(self.mats):
+        if k == self._V.shape[1]:
+            self._grow()
+        V = self._V
+        V[:, k] = v
+        for A, W, H in zip(self.mats, self._W, self._H):
             w = A @ v
-            Wi = np.column_stack([self.W[i], w])
-            Hi = np.pad(self.H[i], ((0, 1), (0, 1)))
+            W[:, k] = w
             if k:
-                Hi[:k, k] = self.V[:, :k].conj().T @ w
-                Hi[k, :k] = v.conj() @ self.W[i][:, :k]
-            Hi[k, k] = np.vdot(v, w)
-            self.W[i] = Wi
-            self.H[i] = Hi
+                H[:k, k] = (w.conj() @ V[:, :k]).conj()
+                H[k, :k] = v.conj() @ W[:, :k]
+            H[k, k] = np.vdot(v, w)
+        self.k = k + 1
         return v
 
     def restart(self, cs):
@@ -201,10 +239,13 @@ class SearchSpace:
         # orthonormal so V @ U is orthonormal too
         U, s, _ = np.linalg.svd(C, full_matrices=False)
         keep = s > 1e-12 * s[0]
-        self.V = self.V @ U[:, keep]
-        for i, A in enumerate(self.mats):
-            self.W[i] = A @ self.V
-            self.H[i] = self.V.conj().T @ self.W[i]
+        V = self.V @ U[:, keep]
+        j = V.shape[1]
+        self._V[:, :j] = V
+        self.k = j
+        for A, W, H in zip(self.mats, self._W, self._H):
+            W[:, :j] = A @ V
+            H[:j, :j] = V.conj().T @ W[:, :j]
 
 
 def rgs(V, t, rng):
@@ -222,7 +263,7 @@ def rgs(V, t, rng):
             u = t / nt0
             for _ in range(2):
                 if V.shape[1]:
-                    u = u - V @ (V.conj().T @ u)
+                    u = u - V @ (u.conj() @ V).conj()
             nu = np.linalg.norm(u)
             if nu > 1e-12:
                 return u / nu
@@ -261,34 +302,48 @@ def extract_candidates(space, target, mode="standard"):
     (infinite projected values dropped) and ProjectivePoint in homogeneous
     mode (infinite values kept).  Pairs where the projected pencil is
     singular (alpha = beta = 0) are dropped in both modes; the list may be
-    empty.
+    empty.  Ties in distance keep the QZ order.
+
+    The strongest block of every companion eigenvector is picked and
+    normalized in a few array operations.  Values and distances are scalar
+    arithmetic on the survivors: it rounds the two members of a symmetric
+    pair (theta and -conj(theta) of a gyroscopic problem) alike, so their
+    exact tie is broken by QZ order rather than by the last bit.
     """
     X, Y = _linearize(space.H)
-    ab, Z = sla.eig(X, Y, homogeneous_eigvals=True, check_finite=False)
-    alphas, betas = ab
-    k = space.k
-    if isinstance(target, hom.ProjectivePoint):
-        tpt = target
+    (alphas, betas), Z = sla.eig(X, Y, homogeneous_eigvals=True,
+                                 check_finite=False)
+    # strongest k-block of every companion eigenvector [c, theta c, ...]
+    blocks = Z.T.reshape(Z.shape[1], -1, space.k)
+    strongest = np.linalg.norm(blocks, axis=2).argmax(axis=1)
+    C = blocks[np.arange(blocks.shape[0]), strongest]
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    homo = mode == "homogeneous"
+    if homo:
+        tpt = (target if isinstance(target, hom.ProjectivePoint)
+               else hom.from_scalar(complex(target)))
     else:
-        tpt = hom.from_scalar(complex(target))
-    cands = []
+        target = complex(target)
+    idx, dist, values = [], [], []
     for j in range(alphas.shape[0]):
         a, b = alphas[j], betas[j]
         nrm = math.hypot(abs(a), abs(b))
         if nrm < 1e-280 or not np.isfinite(nrm):
             continue
         a, b = a / nrm, b / nrm
-        c = _best_block(Z[:, j], k)
-        if mode == "homogeneous":
-            pt = hom.scale_canonical(hom.ProjectivePoint(a, b))
-            cands.append((hom.chordal_distance(pt, tpt), j, CandidatePair(pt, c)))
+        if homo:
+            theta = hom.scale_canonical(hom.ProjectivePoint(a, b))
+            d = hom.chordal_distance(theta, tpt)
+        elif abs(b) < _BETA_CUT:
+            continue
         else:
-            if abs(b) < _BETA_CUT:
-                continue
             theta = a / b
-            cands.append((abs(theta - complex(target)), j, CandidatePair(theta, c)))
-    cands.sort(key=lambda rec: (rec[0], rec[1]))
-    return [rec[2] for rec in cands]
+            d = abs(theta - target)
+        idx.append(j)
+        dist.append(d)
+        values.append(theta)
+    order = np.lexsort((idx, dist))
+    return [CandidatePair(values[i], C[idx[i]]) for i in order]
 
 
 def gal1_refine(problem, v, target, theta0=None):
@@ -340,8 +395,29 @@ def _residual(problem, space, theta, c):
     else:
         w = np.array([complex(theta) ** i for i in range(m + 1)])
         scale = problem.tolerance_scale(abs(theta))
-    r = sum(w[i] * (space.W[i] @ c) for i in range(m + 1))
+    r = sum(w[i] * (W @ c) for i, W in enumerate(space.W))
     return r, float(np.linalg.norm(r)), scale
+
+
+def _snap_infinite(problem, space, theta, c, rho, tol):
+    """(theta, rho) with a converged projective theta moved to infinity
+    when its |beta| is within the accuracy rho the pair has reached.
+
+    A point that converged with |beta| <= max(INF_TOL, rho) cannot be told
+    from the infinite one at that accuracy, yet taken literally it is a huge
+    finite value whose registration checks (simplicity, the criterion
+    against later candidates) misjudge it.  It becomes (1, 0) only if the
+    residual there still meets tol; rho is then that residual.  Scalar
+    theta and points with larger |beta| are returned unchanged.
+    """
+    if (not isinstance(theta, hom.ProjectivePoint)
+            or abs(theta.beta) > max(hom.INF_TOL, rho)):
+        return theta, rho
+    inf = hom.ProjectivePoint(1.0, 0.0)
+    _, resnorm, scale = _residual(problem, space, inf, c)
+    if resnorm <= tol * scale:
+        return inf, resnorm / scale
+    return theta, rho
 
 
 def _unit(v):
@@ -452,7 +528,8 @@ def jd_solve(problem, options=None, v0=None, M=None):
             crit = float(crits[chosen_idx])
 
         if resnorm <= opts.tol * scale:
-            rho = resnorm / scale
+            theta, rho = _snap_infinite(problem, space, theta, c,
+                                        resnorm / scale, opts.tol)
             if sel_ok:
                 # eigenpair found: left eigenvector, then registration.  The
                 # left residual cannot undercut the accuracy of theta

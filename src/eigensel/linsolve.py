@@ -2,13 +2,16 @@
 
 Everything here is desk-scale friendly but keeps the large-scale shape: the
 operators may be dense arrays, sparse matrices, or matvec callables, and the
-preconditioner is an LU factorization of the problem evaluated at the target.
+preconditioner is an LU factorization of the problem evaluated at the target
+(applied as the explicit inverse formed from it when the matrix is dense).
 
 The three consumers are
 
 * the Jacobi-Davidson correction equation
   (I - p v* / (v* p)) P(theta) t = -r with t orthogonal to v and
-  p = P'(theta) v, solved by a few steps of right-preconditioned GMRES.
+  p = P'(theta) v, solved by a few steps of right-preconditioned GMRES
+  whose Arnoldi basis is orthogonalized by classical Gram-Schmidt run
+  twice (CGS2), a few BLAS-2 calls per step.
   P(theta) is formed once per solve and applied in every GMRES step;
   P'(theta) is never formed, p is the weighted sum of the products A_i v;
 * null vectors of (almost) singular matrices, used to obtain left
@@ -27,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import homogeneous as hom
-from .problems import dd_weights
+from .problems import dd_weights, norm1
 
 __all__ = [
     "LuPreconditioner",
@@ -60,62 +63,74 @@ def _as_psolve(M):
     return M
 
 
+def _lu_factor(A):
+    """(LU factors, regularized) of a sparse (splu) or dense (lu_factor) A.
+
+    An exactly singular A is factored with a diagonal regularization of
+    1e-14 times its 1-norm instead, and regularized is then True.
+    """
+    if sp.issparse(A):
+        A = A.tocsc()
+        try:
+            return spla.splu(A), False
+        except RuntimeError:
+            delta = 1e-14 * max(norm1(A), 1e-300)
+            eye = sp.eye_array(A.shape[0], format="csc")
+            return spla.splu(A + delta * eye), True
+    A = np.asarray(A, dtype=complex)
+    with warnings.catch_warnings():
+        # exact singularity is handled below, scipy need not shout
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(A, check_finite=False)
+    d = np.abs(np.diag(lu))
+    if d.size and d.min() == 0.0:
+        delta = 1e-14 * max(norm1(A), 1e-300)
+        return sla.lu_factor(A + delta * np.eye(A.shape[0]),
+                             check_finite=False), True
+    return (lu, piv), False
+
+
 class LuPreconditioner:
     """LU factorization of a matrix, used as an (exact) preconditioner.
 
-    Dense matrices go through scipy.linalg.lu_factor, sparse ones through
-    scipy.sparse.linalg.splu.  An exactly singular matrix gets a tiny
-    diagonal regularization (1e-14 times the 1-norm) so that factorization
-    and solves stay finite; for eigenvalue targets this happens only when
-    the target is itself an eigenvalue, in which case shifting the target
-    slightly is the better fix (mentioned in the raised warning).
+    Sparse matrices are factored by scipy.sparse.linalg.splu and solved
+    through the factors.  Dense ones are factored by scipy.linalg.lu_factor
+    and the inverse is formed once from the factors (LAPACK getri) and kept
+    in their place, so a solve is one matrix-vector product rather than two
+    triangular solves, which LAPACK runs as unblocked level-2 calls.  An
+    exactly singular matrix gets a tiny diagonal regularization (1e-14 times
+    the 1-norm) so that factorization and solves stay finite; for eigenvalue
+    targets this happens only when the target is itself an eigenvalue, in
+    which case shifting the target slightly is the better fix (mentioned in
+    the raised warning).
     """
 
     def __init__(self, A):
         self._sparse = sp.issparse(A)
         self.shape = A.shape
+        lu, regularized = _lu_factor(A)
+        if regularized:
+            warnings.warn(
+                "matrix is exactly singular; factoring with a 1e-14 diagonal "
+                "regularization (if this is an eigenvalue target, shift it "
+                "slightly)",
+                stacklevel=2,
+            )
         if self._sparse:
-            A = A.tocsc()
-            try:
-                self._lu = spla.splu(A)
-            except RuntimeError:
-                from .problems import norm1
-
-                self._warn_singular()
-                delta = 1e-14 * max(norm1(A), 1e-300)
-                self._lu = spla.splu(A + delta * sp.eye_array(A.shape[0], format="csc"))
+            self._lu = lu
         else:
-            A = np.asarray(A, dtype=complex)
-            with warnings.catch_warnings():
-                # exact singularity is handled below, scipy need not shout
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(A, check_finite=False)
-            d = np.abs(np.diag(lu))
-            if d.size and d.min() == 0.0:
-                from .problems import norm1
-
-                self._warn_singular()
-                delta = 1e-14 * max(norm1(A), 1e-300)
-                lu, piv = sla.lu_factor(
-                    A + delta * np.eye(A.shape[0]), check_finite=False
-                )
-            self._lu = (lu, piv)
-
-    @staticmethod
-    def _warn_singular():
-        warnings.warn(
-            "matrix is exactly singular; factoring with a 1e-14 diagonal "
-            "regularization (if this is an eigenvalue target, shift it "
-            "slightly)",
-            stacklevel=3,
-        )
+            lwork = int(sla.lapack.zgetri_lwork(A.shape[0])[0].real)
+            self._inv, info = sla.lapack.zgetri(*lu, lwork=lwork,
+                                                overwrite_lu=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"zgetri failed with info = {info}")
 
     def solve(self, b, adjoint=False):
+        b = np.asarray(b, dtype=complex)
         if self._sparse:
-            return self._lu.solve(np.asarray(b, dtype=complex),
-                                  trans="H" if adjoint else "N")
-        return sla.lu_solve(self._lu, np.asarray(b, dtype=complex),
-                            trans=2 if adjoint else 0, check_finite=False)
+            return self._lu.solve(b, trans="H" if adjoint else "N")
+        return (self._inv.conj().T if adjoint else self._inv) @ b
 
     def __call__(self, b):
         return self.solve(b)
@@ -137,6 +152,13 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
     steps.  M is applied as a right preconditioner: the Krylov space is built
     for A M^{-1} and the returned x is M^{-1} of the inner solution, so
     reported residuals are true residuals of the original system.
+
+    The Arnoldi basis V is stored column-major and each new direction is
+    orthogonalized against it by classical Gram-Schmidt run twice (CGS2):
+    two projections V^H w and two updates w - V h, four BLAS-2 calls per
+    step, which keep V as orthogonal as modified Gram-Schmidt with
+    reorthogonalization does (Giraud, Langou & Rozloznik, Comput. Math.
+    Appl. 50, 2005).
 
     The residual norm of each step's least-squares solution, which decides
     when to stop, is tracked by Givens rotations applied to the Hessenberg
@@ -167,7 +189,7 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
     if beta <= tol * bnorm:
         return x0, beta / bnorm, 0
 
-    V = np.empty((n, maxiter + 1), dtype=complex)
+    V = np.empty((n, maxiter + 1), dtype=complex, order="F")
     H = np.zeros((maxiter + 1, maxiter), dtype=complex)
     V[:, 0] = r0 / beta
     e1 = np.zeros(maxiter + 1, dtype=complex)
@@ -182,14 +204,13 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
     for k in range(maxiter):
         z = psolve(V[:, k]) if psolve is not None else V[:, k]
         w = matvec(z)
-        # modified Gram-Schmidt with one reorthogonalization pass
-        for j in range(k + 1):
-            H[j, k] = np.vdot(V[:, j], w)
-            w = w - H[j, k] * V[:, j]
-        for j in range(k + 1):
-            c = np.vdot(V[:, j], w)
-            H[j, k] += c
-            w = w - c * V[:, j]
+        # classical Gram-Schmidt, run twice (CGS2); V^H w as conj(w^H V)
+        Vk = V[:, : k + 1]
+        h1 = (w.conj() @ Vk).conj()
+        w = w - Vk @ h1
+        h2 = (w.conj() @ Vk).conj()
+        w = w - Vk @ h2
+        H[: k + 1, k] = h1 + h2
         hnext = np.linalg.norm(w)
         H[k + 1, k] = hnext
         k_used = k + 1
@@ -309,14 +330,18 @@ def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6)
 def _direct_solver(Z):
     """Factor Z once and return b -> Z^{-1} b (regularized if singular).
 
-    Exact singularity is the expected case here (null vectors of singular
-    matrices are the whole purpose), so the regularization note that
-    LuPreconditioner emits for preconditioner use is silenced.
+    Solves go through the LU factors: a null vector takes only a few solves
+    per factorization, and inverse iteration near a singular matrix wants
+    triangular solves, not an explicit inverse.  Exact singularity is the
+    expected case here (null vectors of singular matrices are the whole
+    purpose), so it is regularized without the warning LuPreconditioner
+    emits.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        fac = LuPreconditioner(Z)
-    return fac.solve
+    lu, _ = _lu_factor(Z)
+    if sp.issparse(Z):
+        return lambda b: lu.solve(np.asarray(b, dtype=complex))
+    return lambda b: sla.lu_solve(lu, np.asarray(b, dtype=complex),
+                                  check_finite=False)
 
 
 def null_vector(Z, tol, y0=None, solve=None, M=None, seed=0, gmres_steps=200,

@@ -140,28 +140,37 @@ class LinearMep3(_LinearMepBase):
             raise ValueError("need three factors with matrices (A, B, C, D)")
 
 
-def _kron_chain(mats):
-    out = to_dense(mats[0])
-    for M in mats[1:]:
-        out = np.kron(out, to_dense(M))
-    return out
+def _kron2(A, B):
+    """A (x) B as one broadcast product (np.kron's values, less overhead)."""
+    (p, q), (r, s) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
 
 
 def _operator_determinant(columns_per_row):
-    """sum_sigma sgn(sigma) M_{1,sigma(1)} (x) ... for the row-wise blocks."""
-    N = len(columns_per_row)
-    out = None
-    for perm in itertools.permutations(range(N)):
-        inv = sum(
-            1
-            for a in range(N)
-            for b in range(a + 1, N)
-            if perm[a] > perm[b]
-        )
-        sign = -1 if inv % 2 else 1
-        term = _kron_chain([columns_per_row[i][perm[i]] for i in range(N)])
-        out = sign * term if out is None else out + sign * term
-    return out
+    """sum_sigma sgn(sigma) M_{1,sigma(1)} (x) ... for the row-wise blocks.
+
+    Laplace expansion along the first row, sum_j (-1)^j M_{1,j} (x) Minor_j
+    with Minor_j the operator determinant of the remaining rows without
+    column j: 9 Kronecker products of two factors for N = 3, where the sum
+    over permutations takes 12.
+    """
+    rows = [[to_dense(M) for M in row] for row in columns_per_row]
+
+    def det(r, cols):
+        if r == len(rows) - 1:
+            return rows[r][cols[0]]
+        out = None
+        for pos, j in enumerate(cols):
+            term = _kron2(rows[r][j], det(r + 1, cols[:pos] + cols[pos + 1:]))
+            if out is None:
+                out = term
+            elif pos % 2:
+                out -= term
+            else:
+                out += term
+        return out
+
+    return det(0, list(range(len(rows))))
 
 
 def delta_operators(mep):
@@ -605,6 +614,14 @@ def mep_passes(mep, registry, vs, eta_sel=0.1, variant="new"):
     return value < criterion_threshold(eta_sel, variant)
 
 
+def _unit(x):
+    """x scaled to unit norm; a vector already of unit norm to rounding is
+    kept as it is, since dividing it again only re-rounds it (and a
+    residual computed from it would no longer be the stored vector's)."""
+    nx = np.linalg.norm(x)
+    return x if abs(nx - 1.0) <= 1e-14 else x / nx
+
+
 def mep_register(mep, registry, values, xs, ys, residual=math.nan,
                  iteration=-1, simplicity_rtol=1e-12):
     """Validate simplicity at (values, xs, ys) and append a MepTriplet.
@@ -613,10 +630,8 @@ def mep_register(mep, registry, values, xs, ys, residual=math.nan,
     determinant); below simplicity_rtol times the natural scale the value
     cannot anchor the criterion and DefectiveEigenvalueError is raised.
     """
-    xs = [np.asarray(x, dtype=complex) for x in xs]
-    ys = [np.asarray(y, dtype=complex) for y in ys]
-    xs = [x / np.linalg.norm(x) for x in xs]
-    ys = [y / np.linalg.norm(y) for y in ys]
+    xs = [_unit(np.array(x, dtype=complex)) for x in xs]
+    ys = [_unit(np.array(y, dtype=complex)) for y in ys]
     denom = dd_sandwich(mep, values, values, ys, xs)
     if abs(denom) < simplicity_rtol * jacobian_scale(mep):
         raise DefectiveEigenvalueError(
@@ -869,10 +884,9 @@ def mep_subspace_solve(mep, options=None, v0s=None):
                     for i in range(N):
                         Zi = mep.t_eval(i, values).conj().T
                         scale = rtol_eff * mep.tolerance_scale(i, values)
-                        lu = linsolve.LuPreconditioner(Zi)
                         ys.append(
                             linsolve.null_vector(
-                                Zi, scale, solve=lu.solve,
+                                Zi, scale,
                                 seed=opts.seed + 77 * (len(registry) + 1) + i,
                             )
                         )

@@ -6,12 +6,15 @@ never share a code path for verification.
 """
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from eigensel import homogeneous as hom
 from eigensel import jdsolver
+from eigensel import linsolve
 from eigensel.jdsolver import (
     JDOptions,
     OracleCapError,
@@ -341,3 +344,221 @@ class TestIterationCost:
         assert calls["outside"] == 0
         assert 0 < calls["inside"] <= 2 * calls["register"]
         assert calls["criterion"] == 0
+
+    def test_dense_solve_uses_lu_solves_only_for_left_vectors(self,
+                                                              monkeypatch):
+        # the dense preconditioner applies an explicit inverse; triangular
+        # solves are left to the null-vector solves of left_eigenvector
+        state = {"in_left": False, "inside": 0, "outside": 0}
+
+        def lu_solve(*args, **kwargs):
+            state["inside" if state["in_left"] else "outside"] += 1
+            return real_lu_solve(*args, **kwargs)
+
+        def left_eigenvector(*args, **kwargs):
+            state["in_left"] = True
+            try:
+                return real_left(*args, **kwargs)
+            finally:
+                state["in_left"] = False
+
+        real_lu_solve, real_left = sla.lu_solve, linsolve.left_eigenvector
+        monkeypatch.setattr(sla, "lu_solve", lu_solve)
+        monkeypatch.setattr(linsolve, "left_eigenvector", left_eigenvector)
+        p = gen_random_pep(30, 2, seed=1)
+        res = jd_solve(p, JDOptions(target=0.0, num_pairs=3, tol=1e-9,
+                                    mindim=6, maxdim=12, max_outer=150,
+                                    seed=1))
+        assert len(res.registry) == 3
+        assert state["outside"] == 0 and state["inside"] > 0
+
+    def test_append_copies_no_search_space(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("search space copied")
+
+        def append(self, t):
+            with monkeypatch.context() as m:
+                m.setattr(np, "column_stack", forbidden)
+                m.setattr(np, "pad", forbidden)
+                return real_append(self, t)
+
+        real_append = jdsolver.SearchSpace.append
+        monkeypatch.setattr(jdsolver.SearchSpace, "append", append)
+        for mode in ("standard", "homogeneous"):
+            res = jd_solve(gen_random_pep(30, 2, seed=1),
+                           JDOptions(target=0.0, num_pairs=2, tol=1e-9,
+                                     mindim=4, maxdim=8, max_outer=150,
+                                     mode=mode, seed=1))
+            assert len(res.registry) == 2
+
+
+def _best_block_loop(z, k):
+    blocks = z.reshape(-1, k)
+    c = blocks[int(np.argmax(np.linalg.norm(blocks, axis=1)))]
+    return c / np.linalg.norm(c)
+
+
+def extract_candidates_loop(space, target, mode="standard"):
+    """extract_candidates as a loop over the companion eigenvectors, one
+    CandidatePair per surviving column (the form it had before it was
+    vectorized)."""
+    X, Y = jdsolver._linearize(space.H)
+    ab, Z = sla.eig(X, Y, homogeneous_eigvals=True, check_finite=False)
+    alphas, betas = ab
+    tpt = (target if isinstance(target, hom.ProjectivePoint)
+           else hom.from_scalar(complex(target)))
+    cands = []
+    for j in range(alphas.shape[0]):
+        a, b = alphas[j], betas[j]
+        nrm = math.hypot(abs(a), abs(b))
+        if nrm < 1e-280 or not np.isfinite(nrm):
+            continue
+        a, b = a / nrm, b / nrm
+        c = _best_block_loop(Z[:, j], space.k)
+        if mode == "homogeneous":
+            pt = hom.scale_canonical(hom.ProjectivePoint(a, b))
+            cands.append((hom.chordal_distance(pt, tpt), j, pt, c))
+        elif abs(b) >= jdsolver._BETA_CUT:
+            theta = a / b
+            cands.append((abs(theta - complex(target)), j, theta, c))
+    cands.sort(key=lambda rec: (rec[0], rec[1]))
+    return [(rec[2], rec[3]) for rec in cands]
+
+
+def projected_space(k, seed, degenerate=False):
+    """Stand-in search space with random projected quadratic coefficients.
+
+    degenerate: all three share a zero last row and column (a singular
+    pencil: one alpha = beta = 0 value) and the leading one a zero first
+    row and column too (an exactly infinite value)."""
+    rng = np.random.default_rng(seed)
+    H = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+         for _ in range(3)]
+    if degenerate:
+        for Hi in H:
+            Hi[:, -1] = Hi[-1, :] = 0.0
+        H[2][:, 0] = H[2][0, :] = 0.0
+    return SimpleNamespace(H=H, k=k)
+
+
+class TestVectorizedExtraction:
+    """extract_candidates agrees with the per-column loop it replaced."""
+
+    @staticmethod
+    def assert_same(got, want, mode):
+        assert len(got) == len(want)
+        for cand, (theta, c) in zip(got, want):
+            if mode == "homogeneous":
+                assert hom.chordal_distance(cand.theta, theta) <= 1e-14
+                assert cand.theta.is_infinite == theta.is_infinite
+            else:
+                assert abs(cand.theta - theta) <= 1e-14 * abs(theta)
+            assert abs(np.vdot(cand.v, c)) >= 1.0 - 1e-14
+
+    @pytest.mark.parametrize("mode, target", [
+        ("standard", 0.0), ("standard", 0.4 - 1.1j), ("homogeneous", 0.0),
+        ("homogeneous", 0.4 - 1.1j),
+        ("homogeneous", hom.ProjectivePoint(1.0, 0.0))])
+    @pytest.mark.parametrize("seed, degenerate",
+                             [(0, False), (1, False), (2, True), (3, True)])
+    def test_matches_loop(self, mode, target, seed, degenerate):
+        space = projected_space(6, seed, degenerate)
+        want = extract_candidates_loop(space, target, mode)
+        # a degenerate space drops the singular value, and in standard
+        # mode the infinite one as well
+        assert len(want) == 12 - degenerate * (1 + (mode == "standard"))
+        self.assert_same(extract_candidates(space, target, mode), want, mode)
+
+    @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
+    def test_matches_loop_on_gyroscopic_space(self, mode):
+        # theta and -conj(theta) tie exactly in distance to an imaginary
+        # target; both forms break the tie by QZ order
+        p = gen_gyroscopic(16, seed=1)
+        rng = np.random.default_rng(0)
+        space = jdsolver.SearchSpace(p.coeffs, rng)
+        for _ in range(7):
+            space.append(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        want = extract_candidates_loop(space, 80j, mode)
+        got = extract_candidates(space, 80j, mode)
+        self.assert_same(got, want, mode)
+
+
+class TestSearchSpaceBuffers:
+    def test_grow_restart_and_append_keep_invariants(self):
+        p = gen_random_pep(40, 2, seed=6)
+        rng = np.random.default_rng(1)
+        space = jdsolver.SearchSpace(p.coeffs, rng)
+
+        def check():
+            V = space.V
+            assert V.shape == (40, space.k)
+            np.testing.assert_allclose(V.conj().T @ V, np.eye(space.k),
+                                       atol=1e-13)
+            for A, W, H in zip(p.coeffs, space.W, space.H):
+                assert np.linalg.norm(W - A @ V) <= 1e-13 * np.linalg.norm(W)
+                assert (np.linalg.norm(H - V.conj().T @ W)
+                        <= 1e-13 * np.linalg.norm(H))
+
+        def rand():
+            return rng.standard_normal(40) + 1j * rng.standard_normal(40)
+
+        for _ in range(3 * jdsolver._INITIAL_CAPACITY):
+            space.append(rand())
+        assert space.k == 3 * jdsolver._INITIAL_CAPACITY
+        check()
+        space.restart([rng.standard_normal(space.k) for _ in range(5)])
+        assert space.k == 5
+        check()
+        for _ in range(8):
+            space.append(rand())
+        assert space.k == 13
+        check()
+
+    def test_capacity_capped_at_n(self):
+        p = gen_random_pep(13, 2, seed=7)
+        rng = np.random.default_rng(2)
+        space = jdsolver.SearchSpace(p.coeffs, rng)
+        for _ in range(20):
+            space.append(rng.standard_normal(13) + 0j)
+        assert space.k == 13
+        assert space._V.shape == (13, 13)
+        np.testing.assert_allclose(space.V.conj().T @ space.V, np.eye(13),
+                                   atol=1e-13)
+
+
+class TestSnapInfinite:
+    """A converged projective value within its accuracy of infinity is
+    taken as infinity when the residual there still meets tol."""
+
+    @staticmethod
+    def space_and_c():
+        # e1 is a null vector of the leading coefficient: infinity is an
+        # eigenvalue with eigenvector e1
+        rng = np.random.default_rng(3)
+        A0, A1 = (rng.standard_normal((6, 6)) for _ in range(2))
+        p = PolyProblem([A0, A1, np.diag([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])])
+        space = jdsolver.SearchSpace(p.coeffs, rng)
+        space.append(np.eye(6)[0])
+        space.append(rng.standard_normal(6))
+        return p, space, np.array([1.0, 0.0], dtype=complex)
+
+    def test_near_infinite_point_snaps(self):
+        p, space, c = self.space_and_c()
+        theta = hom.ProjectivePoint(1.0, 1e-13)
+        snapped, rho = jdsolver._snap_infinite(p, space, theta, c, 1e-10,
+                                               1e-8)
+        assert snapped.beta == 0.0 and snapped.is_infinite
+        assert rho <= 1e-15
+
+    def test_finite_point_is_kept(self):
+        p, space, c = self.space_and_c()
+        theta = hom.ProjectivePoint(1.0, 1e-6)
+        kept, rho = jdsolver._snap_infinite(p, space, theta, c, 1e-10, 1e-8)
+        assert kept is theta and rho == 1e-10
+
+    def test_no_snap_when_infinity_misses_tol(self):
+        p, space, _ = self.space_and_c()
+        theta = hom.ProjectivePoint(1.0, 1e-13)
+        c = np.array([0.0, 1.0], dtype=complex)  # not a null vector of A2
+        kept, rho = jdsolver._snap_infinite(p, space, theta, c, 1e-10, 1e-8)
+        assert kept is theta and rho == 1e-10

@@ -5,6 +5,7 @@ iteratively here.
 """
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from eigensel import homogeneous as hom
 from eigensel import linsolve
@@ -19,6 +20,7 @@ from eigensel.linsolve import (
     projected_correction_solve,
 )
 from eigensel.problems import gen_gyroscopic, gen_random_pep
+from eigensel.problems import norm1
 
 
 def random_system(n, seed, cond_boost=0.0):
@@ -110,6 +112,36 @@ class TestLuPreconditioner:
         np.testing.assert_allclose(x[1:], [1.0, 1.0], rtol=1e-9)
 
 
+class TestDenseInverse:
+    """The dense preconditioner's explicit inverse against LU solves."""
+
+    @staticmethod
+    def assert_matches_lu_solve(A, M):
+        lu = sla.lu_factor(A)
+        rng = np.random.default_rng(A.shape[0])
+        B = rng.standard_normal((A.shape[0], 3)) + 1j * rng.standard_normal(
+            (A.shape[0], 3))
+        for b in (B[:, 0], B):
+            for trans, adjoint in ((0, False), (2, True)):
+                want = sla.lu_solve(lu, b, trans=trans)
+                got = M.solve(b, adjoint=adjoint)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n, seed", [(10, 0), (60, 1)])
+    def test_regular(self, n, seed):
+        A, _ = random_system(n, seed)
+        self.assert_matches_lu_solve(A, LuPreconditioner(A))
+
+    def test_regularized_singular(self):
+        A, _ = random_system(12, 2)
+        A[:, 3] = 0.0  # exactly singular: a zero pivot in the LU
+        with pytest.warns(UserWarning, match="exactly singular"):
+            M = LuPreconditioner(A)
+        # the inverse is that of the regularized matrix
+        self.assert_matches_lu_solve(A + 1e-14 * norm1(A) * np.eye(12), M)
+
+
 class TestNullVector:
     def test_exactly_singular_diagonal(self):
         # expected use case: no warning even though Z is exactly singular
@@ -197,7 +229,7 @@ def gmres_lstsq_reference(A, b, tol, maxiter, M=None):
     maxiter = min(maxiter, n)
     bnorm = np.linalg.norm(b)
     beta = bnorm
-    V = np.empty((n, maxiter + 1), dtype=complex)
+    V = np.empty((n, maxiter + 1), dtype=complex, order="F")
     H = np.zeros((maxiter + 1, maxiter), dtype=complex)
     V[:, 0] = b / beta
     e1 = np.zeros(maxiter + 1, dtype=complex)
@@ -205,13 +237,12 @@ def gmres_lstsq_reference(A, b, tol, maxiter, M=None):
     for k in range(maxiter):
         z = psolve(V[:, k]) if psolve is not None else V[:, k]
         w = matvec(z)
-        for j in range(k + 1):
-            H[j, k] = np.vdot(V[:, j], w)
-            w = w - H[j, k] * V[:, j]
-        for j in range(k + 1):
-            c = np.vdot(V[:, j], w)
-            H[j, k] += c
-            w = w - c * V[:, j]
+        Vk = V[:, : k + 1]
+        h1 = (w.conj() @ Vk).conj()
+        w = w - Vk @ h1
+        h2 = (w.conj() @ Vk).conj()
+        w = w - Vk @ h2
+        H[: k + 1, k] = h1 + h2
         hnext = np.linalg.norm(w)
         H[k + 1, k] = hnext
         k_used = k + 1
@@ -250,6 +281,30 @@ class TestGmresRotations:
         x_ref, _, its_ref = gmres_lstsq_reference(A, b, 1e-9, 15, M=M)
         assert its == its_ref
         assert np.array_equal(x, x_ref)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8, 0.0])
+    def test_returned_relres_is_true_residual(self, seed, tol):
+        A, b = random_system(40, seed, cond_boost=-4.0)
+        x, relres, _ = gmres(A, b, tol=tol, maxiter=40)
+        true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        assert abs(relres - true) <= 1e-10
+
+    def test_no_vdot_per_basis_vector(self, monkeypatch):
+        calls = []
+        real_vdot = np.vdot
+
+        def vdot(*args):
+            calls.append(1)
+            return real_vdot(*args)
+
+        monkeypatch.setattr(np, "vdot", vdot)
+        A, b = random_system(30, 1)
+        _, _, its = gmres(A, b, tol=1e-12, maxiter=20, M=LuPreconditioner(A))
+        assert its > 0
+        _, _, its = gmres(A, b, tol=1e-12, maxiter=20)
+        assert its == 20
+        assert calls == []
 
     def test_full_space_residual_reaches_rounding_level(self):
         A, b = random_system(12, 3)

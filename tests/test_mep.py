@@ -4,6 +4,7 @@ Hand-built Kronecker formulas are the reference for the operator
 determinants, the raw difference quotient for the divided-difference
 blocks, and the dense Delta-pencil solve for every subspace run.
 """
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,48 @@ class TestDeltaOperators:
         D = delta_operators(m)
         assert len(D) == 4
         assert all(M.shape == (12, 12) for M in D)
+
+
+def operator_determinant_kron(columns_per_row):
+    """Sum over permutations of sign times np.kron chains (the form
+    _operator_determinant had before the Laplace expansion)."""
+    N = len(columns_per_row)
+    out = 0
+    for perm in itertools.permutations(range(N)):
+        sign = (-1) ** sum(perm[a] > perm[b]
+                           for a in range(N) for b in range(a + 1, N))
+        term = columns_per_row[0][perm[0]]
+        for i in range(1, N):
+            term = np.kron(term, columns_per_row[i][perm[i]])
+        out = out + sign * term
+    return out
+
+
+class TestOperatorDeterminantExpansion:
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 4, 3)])
+    def test_matches_kron_build(self, dims):
+        rng = np.random.default_rng(len(dims))
+        N = len(dims)
+        cols = [[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                 for _ in range(N)] for d in dims]
+        got = mepmod._operator_determinant(cols)
+        want = operator_determinant_kron(cols)
+        assert got.shape == want.shape == (math.prod(dims),) * 2
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_delta_operators_of_three_parameter_problem(self):
+        m = gen_random_mep((3, 4, 3), seed=4)
+        cols = [list(m.param_mats(i)) for i in range(3)]
+        base = operator_determinant_kron(cols)
+        got = delta_operators(m)
+        assert np.linalg.norm(got[0] - base) <= 1e-13 * np.linalg.norm(base)
+        for j in range(3):
+            cj = [list(row) for row in cols]
+            for i in range(3):
+                cj[i][j] = m.a_mat(i)
+            want = operator_determinant_kron(cj)
+            assert (np.linalg.norm(got[j + 1] - want)
+                    <= 1e-13 * np.linalg.norm(want))
 
 
 class TestDenseSolve:
@@ -252,6 +295,15 @@ class TestSandwichAndCriterion:
         for v in t.xs + t.ys:
             np.testing.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
         assert t.found_iteration == 4
+
+    def test_register_stores_unit_vectors_as_given(self):
+        # dividing a unit vector by its norm again would re-round it, and
+        # the residual the solver records would no longer be its own
+        m = gen_random_mep((3, 3), seed=21)
+        p = dense_solve(m)[0]
+        xs = [x / np.linalg.norm(x) for x in p.xs]
+        t = mep_register(m, [], p.values, xs, p.ys)
+        assert all(np.array_equal(a, b) for a, b in zip(t.xs, xs))
 
     def test_register_rejects_singular_jacobian(self):
         # identical factors with identical vectors: the sandwich rows
