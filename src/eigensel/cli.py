@@ -83,7 +83,11 @@ def build_parser():
     s.add_argument("--eta", type=float, default=0.1)
     s.add_argument("--mode", choices=["standard", "homogeneous"],
                    default="standard")
-    s.add_argument("--extraction", choices=["ritz", "gal1"], default="ritz")
+    s.add_argument("--extraction", choices=["ritz", "gal1"], default="ritz",
+                   help="value of the selected pair: the projected one "
+                        "('ritz'), or gal1, its one-dimensional Galerkin "
+                        "refinement; pairs are harmonic in standard mode, "
+                        "Ritz pairs in homogeneous mode")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output directory")
 

@@ -1,11 +1,21 @@
 """Jacobi-Davidson subspace solver for PEPs with selection of new pairs.
 
 The loop expands one orthonormal search space V.  Each iteration extracts
-Ritz pairs of the projected polynomial sum_i theta^i (V* A_i V) c = 0 via a
+pairs of a projected polynomial sum_i theta^i (Q* A_i V) c = 0 via a
 companion linearization, walks them in order of distance to the target, and
 picks the first pair that the divided-difference selection criterion accepts
-as new (if none is accepted the overall best pair is used but convergence is
-suspended for it, so an already-found eigenpair is never registered twice).
+as new.  If none is accepted, the pair with the smallest criterion value is
+used, but convergence is suspended for it, so an already-found eigenpair is
+never registered twice.
+
+Standard mode extracts harmonic pairs: the test space is Q = orth(P(tau) V)
+(Hochstenbach & Sleijpen, NLAA 15, 2008), formed from the cached A_i V at
+every iteration.  Ritz pairs (Q = V) favour exterior eigenvalues; near an
+interior target they keep offering the pairs already registered, and every
+iteration spent on one is lost.  Homogeneous mode keeps Ritz extraction,
+where the harmonic test space cost outer iterations on the gyroscopic
+problems it serves.
+
 A pair converges when its residual passes the scaled tolerance AND the
 criterion accepts it; its left eigenvector is then solved for, the triplet
 is registered, and the process continues toward the next pair without any
@@ -96,7 +106,10 @@ class JDOptions:
     mode : "standard" (scalar eigenvalues) or "homogeneous" (projective,
         infinite eigenvalues representable).
     extraction : "ritz" or "gal1_refined" (one-dimensional Galerkin value
-        refinement of the selected pair).
+        refinement of the selected pair).  Both start from the pairs of
+        extract_candidates: harmonic in standard mode (they approximate
+        interior eigenvalues near target, where Ritz pairs re-offer the
+        registered ones), Ritz in homogeneous mode.
     seed : seed for every random draw of the run.
     blocked_tol : exclusion radius around values whose registration failed.
     left_rtol : relative tolerance for the left eigenvector solve.
@@ -295,8 +308,31 @@ def _best_block(z, k):
     return c / np.linalg.norm(c)
 
 
+def _harmonic_coeffs(space, target):
+    """Q* W_i for Q = orth(P(target) V): the projected coefficients of
+    harmonic Petrov-Galerkin extraction.
+
+    P(target) V = sum_i target^i W_i comes from the cached W_i = A_i V, so
+    no matvec of length n is needed.
+    """
+    W = space.W
+    Q = np.linalg.qr(sum(target ** i * Wi for i, Wi in enumerate(W)))[0]
+    return [Q.conj().T @ Wi for Wi in W]
+
+
 def extract_candidates(space, target, mode="standard"):
-    """Ritz pairs of the projected polynomial, ordered by target distance.
+    """Pairs (theta, c) of the projected polynomial, ordered by target
+    distance.
+
+    Standard mode uses harmonic Petrov-Galerkin extraction (Hochstenbach &
+    Sleijpen, NLAA 15, 2008): with the test space Q = orth(P(tau) V) the
+    pairs solve Q* P(theta) V c = 0.  Ritz (Galerkin) extraction, V* P(theta)
+    V c = 0, favours exterior values; near an interior target it keeps
+    offering pairs the registry already holds, which the selection
+    criterion then rejects iteration after iteration, while harmonic values
+    approximate the eigenvalues nearest tau.  Homogeneous mode keeps Ritz
+    extraction: there the harmonic test space took more outer iterations
+    on the sparse gyroscopic problems it serves.
 
     Returns CandidatePair(theta, c) with theta scalar in standard mode
     (infinite projected values dropped) and ProjectivePoint in homogeneous
@@ -310,7 +346,13 @@ def extract_candidates(space, target, mode="standard"):
     pair (theta and -conj(theta) of a gyroscopic problem) alike, so their
     exact tie is broken by QZ order rather than by the last bit.
     """
-    X, Y = _linearize(space.H)
+    homo = mode == "homogeneous"
+    if homo:
+        coeffs = space.H
+    else:
+        target = complex(target)
+        coeffs = _harmonic_coeffs(space, target)
+    X, Y = _linearize(coeffs)
     (alphas, betas), Z = sla.eig(X, Y, homogeneous_eigvals=True,
                                  check_finite=False)
     # strongest k-block of every companion eigenvector [c, theta c, ...]
@@ -318,12 +360,9 @@ def extract_candidates(space, target, mode="standard"):
     strongest = np.linalg.norm(blocks, axis=2).argmax(axis=1)
     C = blocks[np.arange(blocks.shape[0]), strongest]
     C /= np.linalg.norm(C, axis=1, keepdims=True)
-    homo = mode == "homogeneous"
     if homo:
         tpt = (target if isinstance(target, hom.ProjectivePoint)
                else hom.from_scalar(complex(target)))
-    else:
-        target = complex(target)
     idx, dist, values = [], [], []
     for j in range(alphas.shape[0]):
         a, b = alphas[j], betas[j]
@@ -485,11 +524,12 @@ def jd_solve(problem, options=None, v0=None, M=None):
 
     def _select():
         """Criterion values of all candidates, scored in one contraction
-        against the registry, and the first passing index (candidates are
-        in target order), or None when none passes."""
+        against the registry, and the chosen index: the first passing one
+        (candidates are in target order), or when none passes the one with
+        the smallest criterion, the pair least like a registered one."""
         crits = candidate_criteria(problem, registry, space.V, cands, config)
         passing = np.flatnonzero(crits < opts.eta)
-        return crits, int(passing[0]) if passing.size else None
+        return crits, int(passing[0] if passing.size else np.argmin(crits))
 
     t = _rand() if v0 is None else np.asarray(v0, dtype=complex)
     space = SearchSpace(problem.coeffs, rng)
@@ -510,10 +550,9 @@ def jd_solve(problem, options=None, v0=None, M=None):
             continue
 
         crits, chosen_idx = _select()
-        sel_ok = chosen_idx is not None
-        if not sel_ok:
-            chosen_idx = 0  # best pair regardless; it cannot be registered
-            # (a residual-converged one is blocked below)
+        # a failing pick cannot be registered (a residual-converged one is
+        # blocked below)
+        sel_ok = crits[chosen_idx] < opts.eta
 
         theta, c = cands[chosen_idx].theta, cands[chosen_idx].v
         vc = space.V @ c
@@ -576,8 +615,6 @@ def jd_solve(problem, options=None, v0=None, M=None):
                 t = _fresh_start()
                 continue
             crits, chosen_idx = _select()
-            if chosen_idx is None:
-                chosen_idx = 0
             theta, c = cands[chosen_idx].theta, cands[chosen_idx].v
             v = _unit(space.V @ c)
             r, resnorm, scale = _residual(problem, space, theta, c)

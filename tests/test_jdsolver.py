@@ -401,8 +401,11 @@ def _best_block_loop(z, k):
 def extract_candidates_loop(space, target, mode="standard"):
     """extract_candidates as a loop over the companion eigenvectors, one
     CandidatePair per surviving column (the form it had before it was
-    vectorized)."""
-    X, Y = jdsolver._linearize(space.H)
+    vectorized).  It linearizes the same projected coefficients: the Ritz
+    ones in homogeneous mode, the harmonic ones in standard mode."""
+    coeffs = (space.H if mode == "homogeneous"
+              else jdsolver._harmonic_coeffs(space, complex(target)))
+    X, Y = jdsolver._linearize(coeffs)
     ab, Z = sla.eig(X, Y, homogeneous_eigvals=True, check_finite=False)
     alphas, betas = ab
     tpt = (target if isinstance(target, hom.ProjectivePoint)
@@ -428,9 +431,12 @@ def extract_candidates_loop(space, target, mode="standard"):
 def projected_space(k, seed, degenerate=False):
     """Stand-in search space with random projected quadratic coefficients.
 
-    degenerate: all three share a zero last row and column (a singular
-    pencil: one alpha = beta = 0 value) and the leading one a zero first
-    row and column too (an exactly infinite value)."""
+    It is the space V = I of the k x k problem with coefficients H_i, so
+    W_i = H_i as well.  degenerate: all three share a zero last row and
+    column (a singular pencil: one alpha = beta = 0 value) and the leading
+    one a zero first row and column too (an exactly infinite value); the
+    harmonic coefficients keep both, as Householder QR leaves a zero last
+    row and column of P(tau) in place."""
     rng = np.random.default_rng(seed)
     H = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
          for _ in range(3)]
@@ -438,7 +444,7 @@ def projected_space(k, seed, degenerate=False):
         for Hi in H:
             Hi[:, -1] = Hi[-1, :] = 0.0
         H[2][:, 0] = H[2][0, :] = 0.0
-    return SimpleNamespace(H=H, k=k)
+    return SimpleNamespace(H=H, W=H, k=k)
 
 
 class TestVectorizedExtraction:
@@ -481,6 +487,150 @@ class TestVectorizedExtraction:
         want = extract_candidates_loop(space, 80j, mode)
         got = extract_candidates(space, 80j, mode)
         self.assert_same(got, want, mode)
+
+
+class TestHarmonicExtraction:
+    """Standard mode projects onto the test space Q = orth(P(tau) V),
+    homogeneous mode onto V."""
+
+    TARGET = 0.3 - 0.2j
+
+    @classmethod
+    def space(cls, k=8):
+        """A search space of gen_random_pep(40, 2), its A_i V and P(tau) V."""
+        p = gen_random_pep(40, 2, seed=0)
+        rng = np.random.default_rng(0)
+        space = jdsolver.SearchSpace(p.coeffs, rng)
+        for _ in range(k):
+            space.append(rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        AV = [A @ space.V for A in p.coeffs]
+        PV = sum(cls.TARGET ** i * X for i, X in enumerate(AV))
+        return space, AV, PV
+
+    def test_coefficients_project_onto_orth_of_p_tau_v(self):
+        space, AV, PV = self.space()
+        G = jdsolver._harmonic_coeffs(space, self.TARGET)
+        # G_i = Q* A_i V with range(Q) containing P(tau) V gives
+        # P(tau) V = Q R, R = sum_i tau^i G_i; recover Q from it
+        R = sum(self.TARGET ** i * Gi for i, Gi in enumerate(G))
+        Q = np.linalg.solve(R.T, PV.T).T
+        np.testing.assert_allclose(Q.conj().T @ Q, np.eye(space.k), atol=1e-13)
+        for Gi, X in zip(G, AV):
+            assert np.linalg.norm(Gi - Q.conj().T @ X) \
+                <= 1e-13 * np.linalg.norm(X)
+
+    def test_standard_candidates_solve_the_petrov_galerkin_condition(self):
+        space, AV, PV = self.space()
+        Q = np.linalg.qr(PV)[0]
+        G = [Q.conj().T @ X for X in AV]
+        norms = [np.linalg.norm(Gi, 2) for Gi in G]
+        cands = extract_candidates(space, self.TARGET, "standard")
+        assert len(cands) == 2 * space.k
+        for cand in cands:
+            th = cand.theta
+            r = sum(th ** i * (Gi @ cand.v) for i, Gi in enumerate(G))
+            bound = sum(abs(th) ** i * g for i, g in enumerate(norms))
+            assert np.linalg.norm(r) <= 1e-12 * bound
+
+    def test_homogeneous_candidates_stay_ritz_pairs(self):
+        space, _, _ = self.space()
+        H = space.H
+        norms = [np.linalg.norm(Hi, 2) for Hi in H]
+        for cand in extract_candidates(space, self.TARGET, "homogeneous"):
+            w = hom.hom_weights(2, cand.theta)
+            r = sum(wi * (Hi @ cand.v) for wi, Hi in zip(w, H))
+            bound = sum(abs(wi) * g for wi, g in zip(w, norms))
+            assert np.linalg.norm(r) <= 1e-12 * bound
+
+
+class TestNoPassFallback:
+    """With no candidate passing, the first pick and the reselect after a
+    rejection both take the candidate of smallest criterion."""
+
+    def test_argmin_candidate_taken(self, monkeypatch):
+        p = gen_random_pep(12, 2, seed=3)
+        # an eigenvalue that is not the nearest to the target: the fake
+        # criterion is smallest near it, so the argmin is rarely index 0
+        anchor = sorted((o.value for o in oracle_all_eigenpairs(p)
+                         if np.isfinite(o.value)), key=abs)[2]
+        scored, solved = [], []
+
+        def candidate_criteria(problem, registry, V, cands, config):
+            thetas = np.array([c.theta for c in cands])
+            crits = 1.0 + np.abs(thetas - anchor)  # never below eta
+            scored.append((thetas, crits))
+            return crits
+
+        def correction(problem, theta, *args, **kwargs):
+            solved.append((theta, scored[-1]))
+            return real_correction(problem, theta, *args, **kwargs)
+
+        real_correction = linsolve.projected_correction_solve
+        monkeypatch.setattr(jdsolver, "candidate_criteria", candidate_criteria)
+        monkeypatch.setattr(linsolve, "projected_correction_solve", correction)
+        res = jd_solve(p, JDOptions(target=0.0, num_pairs=1, tol=1e-8,
+                                    mindim=4, maxdim=8, max_outer=40, seed=3))
+        assert not res.registry and res.truncated
+        events = [r.event for r in res.records]
+        assert "expanded" not in events and "converged" not in events
+        # a converged pick is rejected and the pick is made again
+        assert "rejected: converged duplicate" in events
+        assert len(scored) > res.outer_iterations
+        # every pick, first or reselected, is the argmin candidate
+        assert solved
+        for theta, (thetas, crits) in solved:
+            assert theta == thetas[np.argmin(crits)]
+        assert any(np.argmin(crits) != 0 for _, (_, crits) in solved)
+        # a no-pass record carries the minimum criterion of its pick
+        picks = {(complex(th[np.argmin(cr)]), float(cr.min()))
+                 for th, cr in scored}
+        nopass = [r for r in res.records if r.event == "no-pass"]
+        assert nopass
+        for r in nopass:
+            assert (r.theta, r.criterion) in picks
+
+
+class TestInteriorTargetOracle:
+    """Random quadratics with an interior target: harmonic extraction and
+    the argmin fallback reach the requested count within the budget."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ten_pairs_untruncated(self, seed):
+        p = gen_random_pep(100, 2, seed=seed)
+        res = jd_solve(p, JDOptions(target=0.0, num_pairs=10, tol=1e-9,
+                                    mindim=10, maxdim=20, max_outer=200,
+                                    seed=seed))
+        assert not res.truncated
+        assert len(res.registry) == 10
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2, 3,
+        pytest.param(4, marks=pytest.mark.xfail(
+            strict=True, reason="stops at 19 of 20 pairs within 800 "
+                                "outer iterations")),
+    ])
+    def test_twenty_pairs_verified_against_oracle(self, seed):
+        p = gen_random_pep(100, 2, seed=seed)
+        tol = 1e-9
+        res = jd_solve(p, JDOptions(target=0.0, num_pairs=20, tol=tol,
+                                    mindim=10, maxdim=20, max_outer=800,
+                                    seed=seed))
+        oracle = [o.value for o in oracle_all_eigenpairs(p)
+                  if o.ok and np.isfinite(o.value)]
+        values = [t.value for t in res.registry]
+        for t in res.registry:
+            x = t.right
+            assert (np.linalg.norm(p.matvec(t.value, x))
+                    <= tol * p.tolerance_scale(abs(t.value))
+                    * np.linalg.norm(x))
+        # each value is an eigenvalue, and no eigenvalue is returned twice
+        nearest = [int(np.argmin([abs(v - w) for w in oracle]))
+                   for v in values]
+        for v, j in zip(values, nearest):
+            assert abs(v - oracle[j]) <= 1e-6 * max(1.0, abs(oracle[j]))
+        assert len(set(nearest)) == len(nearest)
+        assert not res.truncated
+        assert len(values) == 20
 
 
 class TestSearchSpaceBuffers:
