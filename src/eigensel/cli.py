@@ -6,7 +6,9 @@ Subcommands:
     solve      run the matching solver, write registry JSON, convergence CSV,
                and a human-readable table
     verify     recompute residuals and match results against the dense oracle
-               (for PEPs the eigenvalue-only QZ oracle_eigenvalues; for MEPs
+               (for PEPs the eigenvalue-only jdsolver.oracle_eigenvalues:
+               the monic companion matrix's eigenvalues when the leading
+               coefficient is well conditioned, QZ otherwise; for MEPs
                mep.dense_solve)
     report     pretty-print a results file (plus CSV event summary)
 
@@ -136,7 +138,33 @@ def _value_payload(v):
     return [v.real, v.imag]
 
 
-def _solve_pep(prob, args, outdir, manifest):
+def _finish_solve(args, manifest, opts, res, settings, problem, config,
+                  pairs, blocked, nparams):
+    """Write results.json, convergence.csv and table.txt for a solver run,
+    print the table and return the exit code."""
+    payload = {
+        "problem": {"manifest": os.path.abspath(args.problem),
+                    "kind": manifest.get("kind"), **problem},
+        "config": config,
+        "pairs": pairs,
+        "blocked": blocked,
+        "outer_iterations": res.outer_iterations,
+        "truncated": bool(res.truncated),
+    }
+    mmio.write_json(os.path.join(args.out, "results.json"), payload)
+    mmio.write_convergence_csv(os.path.join(args.out, "convergence.csv"),
+                               res.records, nparams=nparams)
+    table = mmio.format_table(res.registry, nparams=nparams)
+    body = (f"kind={manifest.get('kind')} {settings} "
+            f"pairs={len(res.registry)}/{opts.num_pairs}\n{table}\n")
+    with open(os.path.join(args.out, "table.txt"), "w") as f:
+        f.write(body)
+    print(body, end="")
+    short = len(res.registry) < opts.num_pairs
+    return EXIT_TRUNCATED if (res.truncated or short) else EXIT_OK
+
+
+def _solve_pep(prob, args, manifest):
     opts = jdsolver.JDOptions(
         target=complex(args.target[0], args.target[1]),
         num_pairs=args.num_pairs,
@@ -161,32 +189,18 @@ def _solve_pep(prob, args, outdir, manifest):
         "eta": opts.eta, "mode": opts.mode, "extraction": opts.extraction,
         "seed": opts.seed,
     }
-    payload = {
-        "problem": {"manifest": os.path.abspath(args.problem),
-                    "kind": manifest.get("kind"),
-                    "problem_type": "pep"},
-        "config": config,
-        "pairs": [t.to_dict() for t in res.registry],
-        "blocked": [_value_payload(b) for b in res.blocked],
-        "outer_iterations": res.outer_iterations,
-        "truncated": bool(res.truncated),
-    }
-    mmio.write_json(os.path.join(outdir, "results.json"), payload)
-    mmio.write_convergence_csv(os.path.join(outdir, "convergence.csv"),
-                               res.records, nparams=1)
-    table = mmio.format_table(res.registry, nparams=1)
-    header = (f"kind={manifest.get('kind')} eta={opts.eta} mode={opts.mode} "
-              f"target={opts.target} pairs={len(res.registry)}"
-              f"/{opts.num_pairs}")
-    body = header + "\n" + table + "\n"
-    with open(os.path.join(outdir, "table.txt"), "w") as f:
-        f.write(body)
-    print(body, end="")
-    short = len(res.registry) < opts.num_pairs
-    return EXIT_TRUNCATED if (res.truncated or short) else EXIT_OK
+    return _finish_solve(
+        args, manifest, opts, res,
+        settings=f"eta={opts.eta} mode={opts.mode} target={opts.target}",
+        problem={"problem_type": "pep"},
+        config=config,
+        pairs=[t.to_dict() for t in res.registry],
+        blocked=[_value_payload(b) for b in res.blocked],
+        nparams=1,
+    )
 
 
-def _solve_mep(m, args, outdir, manifest):
+def _solve_mep(m, args, manifest):
     targets = [complex(*args.target), complex(*args.target_mu),
                complex(*args.target_nu)][: m.nparams]
     opts = mepmod.MepOptions(
@@ -213,30 +227,15 @@ def _solve_mep(m, args, outdir, manifest):
         d = t.to_dict()
         d["oscillation"] = [mepmod.oscillation_index(x) for x in t.xs]
         pairs.append(d)
-    payload = {
-        "problem": {"manifest": os.path.abspath(args.problem),
-                    "kind": manifest.get("kind"),
-                    "problem_type": "mep",
-                    "nparams": m.nparams},
-        "config": config,
-        "pairs": pairs,
-        "blocked": [[_value_payload(v) for v in vals] for vals in res.blocked],
-        "outer_iterations": res.outer_iterations,
-        "truncated": bool(res.truncated),
-    }
-    mmio.write_json(os.path.join(outdir, "results.json"), payload)
-    mmio.write_convergence_csv(os.path.join(outdir, "convergence.csv"),
-                               res.records, nparams=m.nparams)
-    table = mmio.format_table(res.registry, nparams=m.nparams)
-    header = (f"kind={manifest.get('kind')} eta={opts.eta} "
-              f"target={opts.target} pairs={len(res.registry)}"
-              f"/{opts.num_pairs}")
-    body = header + "\n" + table + "\n"
-    with open(os.path.join(outdir, "table.txt"), "w") as f:
-        f.write(body)
-    print(body, end="")
-    short = len(res.registry) < opts.num_pairs
-    return EXIT_TRUNCATED if (res.truncated or short) else EXIT_OK
+    return _finish_solve(
+        args, manifest, opts, res,
+        settings=f"eta={opts.eta} target={opts.target}",
+        problem={"problem_type": "mep", "nparams": m.nparams},
+        config=config,
+        pairs=pairs,
+        blocked=[[_value_payload(v) for v in vals] for vals in res.blocked],
+        nparams=m.nparams,
+    )
 
 
 def cmd_solve(args):
@@ -244,11 +243,11 @@ def cmd_solve(args):
     manifest = mmio.load_manifest(args.problem)
     os.makedirs(args.out, exist_ok=True)
     if ptype == "pep":
-        return _solve_pep(prob, args, args.out, manifest)
+        return _solve_pep(prob, args, manifest)
     if args.mode != "standard" or args.extraction != "ritz":
         print("note: --mode/--extraction apply to one-parameter problems "
               "only; ignored here")
-    return _solve_mep(prob, args, args.out, manifest)
+    return _solve_mep(prob, args, manifest)
 
 
 def _result_value(d):

@@ -38,8 +38,10 @@ from later extraction, otherwise the solver would re-select it forever.
 
 oracle_all_eigenpairs provides the dense brute-force reference (all 2n / mn
 eigenvalues with left and right eigenvectors) used by the tests;
-oracle_eigenvalues gives the same spectrum from eigenvalue-only QZ and is what
-``eigensel verify`` matches returned pairs against.
+oracle_eigenvalues gives the same spectrum without vectors and is what
+``eigensel verify`` matches returned pairs against: one standard eigensolve of
+the monic companion matrix when the leading coefficient is well conditioned,
+eigenvalue-only QZ on the pencil otherwise.
 """
 
 from __future__ import annotations
@@ -80,6 +82,16 @@ __all__ = [
 
 ORACLE_CAP_ENV = "EIGENSEL_ORACLE_CAP"
 DEFAULT_ORACLE_CAP = 2000
+
+# oracle_eigenvalues solves the monic companion matrix, A_m^{-1} times the
+# last block row, when A_m's reciprocal condition estimate is at least this,
+# and runs QZ on the pencil otherwise.  Forming A_m^{-1} A_j costs a relative
+# error of about eps / rcond, here at most sqrt(eps) ~ 1.5e-8, two orders
+# below verify's default mismatch tolerance of 1e-6; a leading coefficient
+# that is singular to working precision (rcond near eps, like the singular
+# mass of a gyroscopic problem) falls far below the cut and keeps QZ, which
+# represents its infinite eigenvalues as beta = 0.
+MONIC_MIN_RCOND = math.sqrt(np.finfo(float).eps)
 
 # |beta| below this on a normalized projected eigenvalue counts as infinite.
 _BETA_CUT = 1e-12
@@ -284,19 +296,27 @@ def rgs(V, t, rng):
     raise RuntimeError("could not produce a new orthonormal direction")
 
 
-def _linearize(coeffs):
-    """First companion linearization (X, Y) of sum_i theta^i H_i."""
-    m = len(coeffs) - 1
-    k = coeffs[0].shape[0]
+def _companion(lower):
+    """Block companion matrix of H_0, ..., H_{m-1}: identities on the block
+    superdiagonal and -H_0, ..., -H_{m-1} in the last block row."""
+    m = len(lower)
+    k = lower[0].shape[0]
     X = np.zeros((m * k, m * k), dtype=complex)
-    Y = np.zeros((m * k, m * k), dtype=complex)
     eye = np.eye(k)
     for j in range(m - 1):
         X[j * k:(j + 1) * k, (j + 1) * k:(j + 2) * k] = eye
-        Y[j * k:(j + 1) * k, j * k:(j + 1) * k] = eye
     for j in range(m):
-        X[(m - 1) * k:, j * k:(j + 1) * k] = -coeffs[j]
-    Y[(m - 1) * k:, (m - 1) * k:] = coeffs[m]
+        X[(m - 1) * k:, j * k:(j + 1) * k] = -lower[j]
+    return X
+
+
+def _linearize(coeffs):
+    """First companion linearization (X, Y) of sum_i theta^i H_i: Y is the
+    identity with H_m in its last diagonal block."""
+    X = _companion(coeffs[:-1])
+    Y = np.eye(X.shape[0], dtype=complex)
+    k = coeffs[-1].shape[0]
+    Y[-k:, -k:] = coeffs[-1]
     return X, Y
 
 
@@ -687,8 +707,8 @@ def _oracle_cap(cap):
     return int(env) if env else DEFAULT_ORACLE_CAP
 
 
-def _oracle_pencil(problem, cap):
-    """Dense companion pencil (X, Y) of a PEP; OracleCapError past the cap."""
+def _oracle_coeffs(problem, cap):
+    """Dense complex coefficients of a PEP; OracleCapError past the cap."""
     n = problem.n
     m = problem.degree
     limit = _oracle_cap(cap)
@@ -697,7 +717,7 @@ def _oracle_pencil(problem, cap):
             f"linearization dimension {m * n} exceeds the oracle cap {limit}; "
             f"raise {ORACLE_CAP_ENV} to override"
         )
-    return _linearize([to_dense(A).astype(complex) for A in problem.coeffs])
+    return [to_dense(A).astype(complex) for A in problem.coeffs]
 
 
 def _oracle_point(a, b):
@@ -724,7 +744,7 @@ def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
     """
     n = problem.n
     m = problem.degree
-    X, Y = _oracle_pencil(problem, cap)
+    X, Y = _linearize(_oracle_coeffs(problem, cap))
     ab, VL, VR = sla.eig(X, Y, left=True, right=True, homogeneous_eigvals=True,
                          check_finite=False)
     alphas, betas = ab
@@ -760,14 +780,33 @@ def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
 def oracle_eigenvalues(problem, cap=None):
     """All eigenvalues of a PEP by dense linearization, without vectors.
 
-    Eigenvalue-only QZ on the same companion pencil as oracle_all_eigenpairs
-    (no Q, Z accumulation and no eigenvector back-substitution).  Returns the
-    canonical ProjectivePoints in QZ order.  Degenerate values (alpha = beta
-    = 0 or not finite) are dropped as there; unlike there, a value is not
-    dropped for a vanishing left vector block, which has none.  Same cap.
+    The spectrum of the same companion pencil (X, Y) as
+    oracle_all_eigenpairs, with no Q, Z accumulation and no eigenvectors.
+    A_m is factored once; if it is nonsingular with a reciprocal 1-norm
+    condition estimate of at least MONIC_MIN_RCOND, the last block row of X
+    is overwritten by A_m^{-1} X[-n:] and one standard eigensolve of that
+    monic companion matrix gives the points (lambda, 1) (Tisseur &
+    Meerbergen, SIAM Review 43, 2001).  Otherwise, for a singular or nearly
+    singular A_m (and with it every problem with infinite eigenvalues),
+    eigenvalue-only QZ runs on (X, Y).  Returns canonical ProjectivePoints
+    in the order of the eigensolver used, which differs between the
+    branches.  Degenerate values (alpha = beta = 0 or not finite) are
+    dropped as there; unlike there, a value is not dropped for a vanishing
+    left vector block, which has none.  Same cap.
     """
-    X, Y = _oracle_pencil(problem, cap)
-    alphas, betas = sla.eigvals(X, Y, homogeneous_eigvals=True,
+    coeffs = _oracle_coeffs(problem, cap)
+    lead = coeffs[-1]
+    getrf, gecon, getrs = sla.get_lapack_funcs(("getrf", "gecon", "getrs"),
+                                               (lead,))
+    lu, piv, info = getrf(lead)
+    if info == 0 and gecon(lu, np.linalg.norm(lead, 1))[0] >= MONIC_MIN_RCOND:
+        X = _companion(coeffs[:-1])
+        n = lead.shape[0]
+        X[-n:] = getrs(lu, piv, X[-n:])[0]
+        pencil = (X,)
+    else:
+        pencil = _linearize(coeffs)
+    alphas, betas = sla.eigvals(*pencil, homogeneous_eigvals=True,
                                 check_finite=False)
     points = (_oracle_point(a, b) for a, b in zip(alphas, betas))
     return [pt for pt in points if pt is not None]

@@ -1,6 +1,8 @@
 """Batch front end: file formats, subcommands, exit codes."""
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +234,34 @@ class TestVerifyPep:
         rc, out = self.verify(manifest, path, capsys)
         assert rc == 4
         assert "verdict: FAIL" in out
+
+    def test_monic_and_qz_oracles_agree(self, tmp_path, capsys, monkeypatch):
+        d = tmp_path / "pep"
+        assert cli.main(["generate", "random_pep", "--n", "20", "--seed", "3",
+                         "--out", str(d)]) == 0
+        manifest = str(d / "manifest.json")
+        outdir = tmp_path / "run"
+        assert cli.main(["solve", "--problem", manifest, "--out", str(outdir),
+                         "--num-pairs", "3", "--mindim", "4",
+                         "--maxdim", "10"]) == 0
+        path = outdir / "results.json"
+        rc, monic = self.verify(manifest, path, capsys)
+        monkeypatch.setattr(jdsolver, "MONIC_MIN_RCOND", math.inf)
+        qz_rc, qz = self.verify(manifest, path, capsys)
+        assert rc == qz_rc == 0
+        assert "verdict: PASS" in monic
+        monic, qz = monic.splitlines(), qz.splitlines()
+        assert len(monic) == len(qz) == 6  # 3 pairs, duplicates, max, verdict
+        # only the oracle index j of "pair k: ... -> oracle j" may differ
+        for ln, qz_ln in zip(monic, qz):
+            words = re.sub(r"oracle \d+", "", ln).split()
+            qz_words = re.sub(r"oracle \d+", "", qz_ln).split()
+            assert len(words) == len(qz_words)
+            for word, qz_word in zip(words, qz_words):
+                try:
+                    assert abs(float(word) - float(qz_word)) <= 1e-12
+                except ValueError:
+                    assert word == qz_word
 
     def test_cap_skip(self, tmp_path, capsys, monkeypatch):
         d = tmp_path / "pep"
