@@ -46,6 +46,7 @@ eigenvalue-only QZ on the pencil otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -193,17 +194,26 @@ class SearchSpace:
     columns for H_i); a view is valid until the next append or restart,
     which write into the same buffers.  An append writes one column of V
     and of each W_i and one row and column of each H_i.
+
+    The buffers hold dtype (complex by default).  A float64 space is for
+    real matrices: a complex vector given to append or restart contributes
+    its real and imaginary parts, the span of the vector and its conjugate.
     """
 
-    def __init__(self, mats, rng):
+    def __init__(self, mats, rng, dtype=complex):
         self.mats = mats
         self.rng = rng
         self.k = 0
+        self.dtype = np.dtype(dtype)
         n = mats[0].shape[0]
         cap = min(n, _INITIAL_CAPACITY)
-        self._V = np.empty((n, cap), dtype=complex, order="F")
-        self._W = [np.empty((n, cap), dtype=complex, order="F") for _ in mats]
-        self._H = [np.empty((cap, cap), dtype=complex, order="F") for _ in mats]
+        self._V = np.empty((n, cap), dtype=dtype, order="F")
+        self._W = [np.empty((n, cap), dtype=dtype, order="F") for _ in mats]
+        self._H = [np.empty((cap, cap), dtype=dtype, order="F") for _ in mats]
+
+    def _splits(self, t):
+        """True when t must enter this real space as its Re and Im parts."""
+        return self.dtype.kind == "f" and np.iscomplexobj(t)
 
     @property
     def V(self):
@@ -224,7 +234,7 @@ class SearchSpace:
         cols, block = np.s_[:, : self.k], np.s_[: self.k, : self.k]
 
         def moved(old, shape, used):
-            new = np.empty(shape, dtype=complex, order="F")
+            new = np.empty(shape, dtype=self.dtype, order="F")
             new[used] = old[used]
             return new
 
@@ -232,17 +242,26 @@ class SearchSpace:
         self._W = [moved(W, (n, cap), cols) for W in self._W]
         self._H = [moved(H, (cap, cap), block) for H in self._H]
 
-    def append(self, t):
+    def append(self, t, fill=True):
         """Orthonormalize t against V (rgs) and extend V, W_i, H_i.
 
         No-op once V spans the whole space: the projected problem is then
-        exact and no new direction exists.
+        exact and no new direction exists.  With fill=False a t dependent
+        on V is dropped (None is returned) instead of being replaced by a
+        random direction.  A real space takes a complex t as Re t, then
+        Im t only where that adds a direction.
         """
+        if self._splits(t):
+            v = self.append(t.real, fill)
+            self.append(t.imag, fill=False)
+            return v
         n = self._V.shape[0]
         k = self.k
         if k >= n:
             return None
-        v = rgs(self.V, t, self.rng)
+        v = rgs(self.V, t, self.rng, fill)
+        if v is None:
+            return None
         if k == self._V.shape[1]:
             self._grow()
         V = self._V
@@ -257,9 +276,25 @@ class SearchSpace:
         self.k = k + 1
         return v
 
-    def restart(self, cs):
-        """Shrink to the span of V @ c for the kept primitive vectors cs."""
-        C = np.column_stack(cs)
+    def restart(self, cs, limit=None):
+        """Shrink to the span of V @ c for the kept primitive vectors cs.
+
+        cs is read in priority order and at most limit directions are kept:
+        the first limit vectors of a complex space, or in a real space the
+        first limit of their real and imaginary parts that add a direction.
+        """
+        if self.dtype.kind == "f":
+            C = np.empty((self.k, 0))
+            parts = (part for c in cs
+                     for part in ((c.real, c.imag) if self._splits(c) else (c,)))
+            for part in parts:
+                u = rgs(C, part, self.rng, fill=False)
+                if u is not None:
+                    C = np.column_stack([C, u])
+                    if C.shape[1] == limit:
+                        break
+        else:
+            C = np.column_stack(list(itertools.islice(cs, limit)))
         # orthonormalize the combination in coefficient space; V stays
         # orthonormal so V @ U is orthonormal too
         U, s, _ = np.linalg.svd(C, full_matrices=False)
@@ -273,15 +308,19 @@ class SearchSpace:
             H[:j, :j] = V.conj().T @ W[:, :j]
 
 
-def rgs(V, t, rng):
+def rgs(V, t, rng, fill=True):
     """Repeated Gram-Schmidt: return a unit vector orthogonal to V's columns.
 
-    Two orthogonalization passes; if the vector collapses below 1e-12 of its
-    original norm it is replaced by a seeded random vector (and the process
-    repeats), so expansion never stalls on a zero or dependent direction.
+    Two orthogonalization passes, in the dtype of V and t together; if the
+    vector collapses below 1e-12 of its original norm it is replaced by a
+    seeded random vector of that dtype (and the process repeats), so
+    expansion never stalls on a zero or dependent direction.  With
+    fill=False a collapsed vector gives None instead.
     """
     n = V.shape[0] if hasattr(V, "shape") else len(t)
-    t = np.asarray(t, dtype=complex)
+    t = np.asarray(t)
+    dtype = np.result_type(V, t)
+    t = t.astype(dtype, copy=False)
     for _ in range(100):
         nt0 = np.linalg.norm(t)
         if nt0 > 0.0 and np.isfinite(nt0):
@@ -292,7 +331,11 @@ def rgs(V, t, rng):
             nu = np.linalg.norm(u)
             if nu > 1e-12:
                 return u / nu
-        t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if not fill:
+            return None
+        t = rng.standard_normal(n)
+        if dtype.kind == "c":
+            t = t + 1j * rng.standard_normal(n)
     raise RuntimeError("could not produce a new orthonormal direction")
 
 

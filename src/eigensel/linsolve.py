@@ -66,8 +66,9 @@ def _as_psolve(M):
 def _lu_factor(A):
     """(LU factors, regularized) of a sparse (splu) or dense (lu_factor) A.
 
-    An exactly singular A is factored with a diagonal regularization of
-    1e-14 times its 1-norm instead, and regularized is then True.
+    The factors are real for a real A and complex otherwise.  An exactly
+    singular A is factored with a diagonal regularization of 1e-14 times
+    its 1-norm instead, and regularized is then True.
     """
     if sp.issparse(A):
         A = A.tocsc()
@@ -77,7 +78,8 @@ def _lu_factor(A):
             delta = 1e-14 * max(norm1(A), 1e-300)
             eye = sp.eye_array(A.shape[0], format="csc")
             return spla.splu(A + delta * eye), True
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A, float), copy=False)
     with warnings.catch_warnings():
         # exact singularity is handled below, scipy need not shout
         warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -90,6 +92,15 @@ def _lu_factor(A):
     return (lu, piv), False
 
 
+def _field_solve(solve, dtype, b):
+    """solve(b) for factors of the given dtype; a complex b against real
+    factors is solved as its real and imaginary parts."""
+    b = np.asarray(b)
+    if dtype.kind == "f" and np.iscomplexobj(b):
+        return solve(b.real) + 1j * solve(b.imag)
+    return solve(b.astype(np.result_type(b, dtype), copy=False))
+
+
 class LuPreconditioner:
     """LU factorization of a matrix, used as an (exact) preconditioner.
 
@@ -97,7 +108,9 @@ class LuPreconditioner:
     through the factors.  Dense ones are factored by scipy.linalg.lu_factor
     and the inverse is formed once from the factors (LAPACK getri) and kept
     in their place, so a solve is one matrix-vector product rather than two
-    triangular solves, which LAPACK runs as unblocked level-2 calls.  An
+    triangular solves, which LAPACK runs as unblocked level-2 calls.  A real
+    matrix keeps real factors (getri picks dgetri or zgetri), and a complex
+    right-hand side is then solved as its real and imaginary parts.  An
     exactly singular matrix gets a tiny diagonal regularization (1e-14 times
     the 1-norm) so that factorization and solves stay finite; for eigenvalue
     targets this happens only when the target is itself an eigenvalue, in
@@ -109,6 +122,8 @@ class LuPreconditioner:
         self._sparse = sp.issparse(A)
         self.shape = A.shape
         lu, regularized = _lu_factor(A)
+        self.dtype = (np.result_type(A.dtype, float) if self._sparse
+                      else lu[0].dtype)
         if regularized:
             warnings.warn(
                 "matrix is exactly singular; factoring with a 1e-14 diagonal "
@@ -119,18 +134,21 @@ class LuPreconditioner:
         if self._sparse:
             self._lu = lu
         else:
-            lwork = int(sla.lapack.zgetri_lwork(A.shape[0])[0].real)
-            self._inv, info = sla.lapack.zgetri(*lu, lwork=lwork,
-                                                overwrite_lu=True)
+            getri, getri_lwork = sla.get_lapack_funcs(
+                ("getri", "getri_lwork"), (lu[0],))
+            lwork = int(getri_lwork(A.shape[0])[0].real)
+            self._inv, info = getri(*lu, lwork=lwork, overwrite_lu=True)
             if info != 0:
                 raise np.linalg.LinAlgError(
-                    f"zgetri failed with info = {info}")
+                    f"{getri.typecode}getri failed with info = {info}")
 
     def solve(self, b, adjoint=False):
-        b = np.asarray(b, dtype=complex)
         if self._sparse:
-            return self._lu.solve(b, trans="H" if adjoint else "N")
-        return (self._inv.conj().T if adjoint else self._inv) @ b
+            trans = "H" if adjoint else "N"
+            return _field_solve(lambda c: self._lu.solve(c, trans=trans),
+                                self.dtype, b)
+        inv = self._inv.conj().T if adjoint else self._inv
+        return _field_solve(lambda c: inv @ c, self.dtype, b)
 
     def __call__(self, b):
         return self.solve(b)
@@ -165,12 +183,19 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
     matrix H; the small least-squares problem min ||beta e_1 - H y|| is
     solved once, after the last step, and gives x and the returned relres.
 
+    The iteration runs in the dtype of b, x0, and of A and M where they
+    carry one: real for real input, complex otherwise.  A callable A or M
+    must keep a real vector real when that dtype is real.
+
     Returns (x, relres, iterations); the residual sequence is monotone
     because each iterate minimizes over a growing Krylov space.
     """
     matvec = _as_matvec(A)
     psolve = _as_psolve(M)
-    b = np.asarray(b, dtype=complex)
+    b = np.asarray(b)
+    dtype = np.result_type(b, float, *(X.dtype for X in (x0, A, M)
+                                       if hasattr(X, "dtype")))
+    b = b.astype(dtype, copy=False)
     n = b.shape[0]
     if maxiter is None:
         maxiter = n
@@ -183,16 +208,16 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
         x0 = np.zeros_like(b)
         r0 = b.copy()
     else:
-        x0 = np.asarray(x0, dtype=complex)
+        x0 = np.asarray(x0, dtype=dtype)
         r0 = b - matvec(x0)
     beta = np.linalg.norm(r0)
     if beta <= tol * bnorm:
         return x0, beta / bnorm, 0
 
-    V = np.empty((n, maxiter + 1), dtype=complex, order="F")
-    H = np.zeros((maxiter + 1, maxiter), dtype=complex)
+    V = np.empty((n, maxiter + 1), dtype=dtype, order="F")
+    H = np.zeros((maxiter + 1, maxiter), dtype=dtype)
     V[:, 0] = r0 / beta
-    e1 = np.zeros(maxiter + 1, dtype=complex)
+    e1 = np.zeros(maxiter + 1, dtype=dtype)
     e1[0] = beta
     # rotation j is [[cs[j], sn[j]], [-conj(sn[j]), cs[j]]] on rows j, j+1;
     # g is the last entry of beta e_1 rotated, |g| the residual norm of the
@@ -339,9 +364,10 @@ def _direct_solver(Z):
     """
     lu, _ = _lu_factor(Z)
     if sp.issparse(Z):
-        return lambda b: lu.solve(np.asarray(b, dtype=complex))
-    return lambda b: sla.lu_solve(lu, np.asarray(b, dtype=complex),
-                                  check_finite=False)
+        dtype = np.result_type(Z.dtype, float)
+        return lambda b: _field_solve(lu.solve, dtype, b)
+    return lambda b: _field_solve(
+        lambda c: sla.lu_solve(lu, c, check_finite=False), lu[0].dtype, b)
 
 
 def null_vector(Z, tol, y0=None, solve=None, M=None, seed=0, gmres_steps=200,

@@ -23,7 +23,8 @@ residual self-checks.  mep_subspace_solve runs the Jacobi-Davidson loop with
 one search space per factor and the sandwich criterion steering selection;
 its projected extraction is one-sided, a standard eigenproblem of
 Delta_0^{-1} sum_j c_j Delta_j with factor vectors split off only for the
-candidates the selection walk reads.
+candidates the selection walk reads.  A real problem at a real target runs
+the loop in float64.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ __all__ = [
     "dense_solve",
     "dense_solve_2p",
     "dense_solve_3p",
-    "dd_operator_2p",
-    "dd_operator_3p",
+    "dd_operator",
     "dd_sandwich",
     "jacobian_scale",
     "mep_criterion",
@@ -76,12 +76,41 @@ __all__ = [
 COINCIDENCE_TOL = 1e-8
 
 
+def _zero_imag(M):
+    """True when the dense or sparse matrix M has no imaginary part."""
+    if not np.iscomplexobj(M):
+        return True
+    return not (M.imag.count_nonzero() if hasattr(M, "tocsc")
+                else np.any(M.imag))
+
+
+def _field_values(values, real):
+    """Parameter values as floats when the arithmetic is real and every
+    value is, as complex numbers otherwise."""
+    values = [complex(v) for v in values]
+    if real and not any(v.imag for v in values):
+        return [v.real for v in values]
+    return values
+
+
 class _LinearMepBase:
-    """Shared plumbing: ops[i] = (A_i, P_i1, P_i2, ...) per factor."""
+    """Shared plumbing: ops[i] = (A_i, P_i1, P_i2, ...) per factor.
+
+    dtype is float64 when every matrix, dense or sparse, has a zero
+    imaginary part; the matrices are then stored real, and t_eval at real
+    parameter values returns a real matrix.  Otherwise dtype is complex128
+    and the dense matrices are stored complex.
+    """
 
     def __init__(self, ops):
+        ops = [tuple(M if hasattr(M, "tocsc") else np.asarray(M) for M in row)
+               for row in ops]
+        real = all(_zero_imag(M) for row in ops for M in row)
+        self.dtype = np.dtype(float if real else complex)
         self.ops = [
-            tuple(M if hasattr(M, "tocsc") else np.asarray(M, dtype=complex)
+            tuple(M.real.astype(float, copy=False) if real
+                  else M if hasattr(M, "tocsc")
+                  else M.astype(complex, copy=False)
                   for M in row)
             for row in ops
         ]
@@ -105,11 +134,13 @@ class _LinearMepBase:
         return self.ops[i][1:]
 
     def t_eval(self, i, values):
-        """T_i(values) = A_i - sum_j values[j] * P_ij."""
+        """T_i(values) = A_i - sum_j values[j] * P_ij, real for a real
+        problem at real values."""
+        values = _field_values(values, self.dtype.kind == "f")
         M = self.ops[i][0]
-        out = M.astype(complex) if hasattr(M, "astype") else M
+        out = M.astype(np.result_type(M.dtype, *values))
         for j, val in enumerate(values):
-            out = out - complex(val) * self.ops[i][1 + j]
+            out = out - val * self.ops[i][1 + j]
         return out
 
     def t_partial(self, i, j, values=None):
@@ -254,14 +285,19 @@ def _ls_value(D0z, Dz):
     return complex(np.vdot(D0z, Dz) / denom)
 
 
-def _weighted_sum(deltas):
+def _weighted_sum(deltas, real=False):
     """sum_j c_j Delta_j for the parameter operators Delta_1, Delta_2, ...
 
     Unit weights at fixed irrational angles: deterministic, and aliasing of
-    distinct tuples under the combination is non-generic.
+    distinct tuples under the combination is non-generic.  real=True takes
+    the fixed irrational real weights sqrt(j + 0.618...) instead, which
+    keep a sum of real Delta's real.
     """
-    weights = np.exp(2j * np.pi * 0.6180339887498949
-                     * np.arange(1, len(deltas)))
+    j = np.arange(1, len(deltas))
+    if real:
+        weights = np.sqrt(j + 0.6180339887498949)
+    else:
+        weights = np.exp(2j * np.pi * 0.6180339887498949 * j)
     return sum(c * D for c, D in zip(weights, deltas[1:]))
 
 
@@ -281,22 +317,30 @@ class _RitzCandidate:
 def _projected_candidates(small):
     """Ritz tuples of a projected MEP from a one-sided standard eigensolve.
 
-    Solves Delta_0^{-1} sum_j c_j Delta_j z = theta z (the weights of
-    dense_solve) for right vectors only and reads every tuple at once as the
-    least-squares Rayleigh values (Delta_0 Z)* (Delta_j Z) / ||Delta_0 Z||^2.
-    Non-finite tuples are dropped.  An exactly singular Delta_0 raises
-    LinAlgError.
+    Solves Delta_0^{-1} sum_j c_j Delta_j z = theta z for right vectors only
+    and reads every tuple at once as the least-squares Rayleigh values
+    (Delta_0 Z)* (Delta_j Z) / ||Delta_0 Z||^2.  Complex Delta's take the
+    weights of dense_solve.  Real ones take real weights and a real
+    eigensolve: a real theta gives a real z and a real tuple, and the
+    tuples of a complex-conjugate pair of thetas are both kept.  Non-finite
+    tuples are dropped.  An exactly singular Delta_0 raises LinAlgError.
     """
     deltas = delta_operators(small)
     D0 = deltas[0]
-    Z = np.linalg.eig(np.linalg.solve(D0, _weighted_sum(deltas)))[1]
+    real = small.dtype.kind == "f"
+    theta, Z = np.linalg.eig(np.linalg.solve(D0, _weighted_sum(deltas, real)))
     D0Z = D0 @ Z
     denom = np.einsum("ij,ij->j", D0Z.conj(), D0Z).real
     vals = np.array([np.einsum("ij,ij->j", D0Z.conj(), D @ Z)
                      for D in deltas[1:]]) / denom
-    return [_RitzCandidate(tuple(complex(v) for v in vals[:, k]), Z[:, k],
-                           small.dims)
-            for k in np.flatnonzero(np.isfinite(vals).all(axis=0))]
+    out = []
+    for k in np.flatnonzero(np.isfinite(vals).all(axis=0)):
+        z, v = Z[:, k], vals[:, k]
+        if real and theta[k].imag == 0:
+            z, v = z.real, v.real
+        out.append(_RitzCandidate(tuple(complex(x) for x in v), z,
+                                  small.dims))
+    return out
 
 
 def dense_solve(mep, cap=None, residual_rtol=1e-8):
@@ -491,24 +535,18 @@ class OperatorDeterminant:
         return _operator_determinant(self.blocks)
 
 
-def dd_operator_2p(t1, t2, pt1, pt2, tol=COINCIDENCE_TOL):
-    """Divided-difference operator of a two-parameter problem.
+def dd_operator(callbacks, p, q, tol=COINCIDENCE_TOL):
+    """Divided-difference operator of an N-parameter problem (N x N blocks).
 
-    t1, t2 are (eval, partial) callable pairs (or objects with those
-    attributes): eval(values) returns T_i at the parameter point, partial(j,
-    values) its derivative along coordinate j.  pt1 carries the left
-    vectors, pt2 the right vectors of a sandwich.  For linear dependence the
-    blocks are the constants -B_i, -C_i at any two points and the operator
-    equals B_1 (x) C_2 - C_1 (x) B_2.
+    callbacks holds one (eval, partial) callable pair per factor (or an
+    object with those attributes): eval(values) returns T_i at the
+    parameter point, partial(j, values) its derivative along coordinate j.
+    p carries the left vectors, q the right vectors of a sandwich.  For
+    linear dependence the blocks are the constants -P_ij at any two points;
+    with two parameters the operator equals B_1 (x) C_2 - C_1 (x) B_2.
     """
-    cbs = [_as_callback(t1), _as_callback(t2)]
-    return OperatorDeterminant(_dd_blocks(cbs, pt1, pt2, tol))
-
-
-def dd_operator_3p(t1, t2, t3, pt1, pt2, tol=COINCIDENCE_TOL):
-    """Three-parameter analogue of dd_operator_2p (3 x 3 determinant)."""
-    cbs = [_as_callback(t1), _as_callback(t2), _as_callback(t3)]
-    return OperatorDeterminant(_dd_blocks(cbs, pt1, pt2, tol))
+    cbs = [_as_callback(t) for t in callbacks]
+    return OperatorDeterminant(_dd_blocks(cbs, p, q, tol))
 
 
 def dd_sandwich(mep, p_values, q_values, ys, xs, tol=COINCIDENCE_TOL):
@@ -780,6 +818,17 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     registered with the residual of the values it stores.
     Values whose registration fails land on the blocked list.
 
+    The arithmetic follows the input.  When every factor matrix has a zero
+    imaginary part and the target is real, the search spaces, projected
+    Delta's and their eigensolve are float64, with real weights c_j.  Real
+    tuples then keep real factor vectors and real corrections.  A chosen
+    complex tuple (one of a complex-conjugate pair) is corrected in complex
+    arithmetic, and each factor space grows by Re t, and by Im t where that
+    adds a direction; a restart keeps the Re and Im parts of a kept complex
+    candidate's factor vectors, mindim directions at most.  Any other input
+    runs in complex arithmetic throughout.  Left vectors, criterion values,
+    tensor_rayleigh and the registered triplets are complex in both cases.
+
     Returns MepResult; registry entries are MepTriplet in detection order.
     """
     opts = options if options is not None else MepOptions()
@@ -787,17 +836,20 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     N = mep.nfactors
     rng = np.random.default_rng(opts.seed)
     target = tuple(complex(t) for t in opts.target)
+    real = mep.dtype.kind == "f" and not any(t.imag for t in target)
 
     # LU of T_i(target) preconditions both correction and null-vector solves
     precs = [linsolve.LuPreconditioner(mep.t_eval(i, target)) for i in range(N)]
-    spaces = [SearchSpace([mep.a_mat(i)] + list(mep.param_mats(i)), rng)
+    spaces = [SearchSpace([mep.a_mat(i)] + list(mep.param_mats(i)), rng,
+                          dtype=float if real else complex)
               for i in range(N)]
 
-    def _rand(i):
-        ni = mep.dims[i]
-        return rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
+    def _randn(n):
+        if real:
+            return rng.standard_normal(n)
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    ts = [_rand(i) if v0s is None else np.asarray(v0s[i], dtype=complex)
+    ts = [_randn(mep.dims[i]) if v0s is None else np.asarray(v0s[i])
           for i in range(N)]
 
     registry = []
@@ -842,9 +894,8 @@ def mep_subspace_solve(mep, options=None, v0s=None):
         """Random expansions, after restarting full spaces on a random one."""
         if max(sp.k for sp in spaces) >= opts.maxdim:
             for sp in spaces:
-                sp.restart([rng.standard_normal(sp.k)
-                            + 1j * rng.standard_normal(sp.k)])
-        return [_rand(i) for i in range(N)]
+                sp.restart([_randn(sp.k)])
+        return [_randn(mep.dims[i]) for i in range(N)]
 
     outer = 0
     while outer < opts.max_outer:
@@ -892,14 +943,16 @@ def mep_subspace_solve(mep, options=None, v0s=None):
                         )
                     # the refined tuple is registered only when it still
                     # meets tol in every factor; it can be (slightly) worse
-                    # than the Ritz tuple
-                    reg_values, reg_res = values, relres
+                    # than the Ritz tuple.  Residuals are recomputed from the
+                    # complex vectors and values the registry stores.
+                    xs = [v.astype(complex, copy=False) for v in vs]
+                    reg_values, reg_res = values, _residuals(values, xs)[1]
                     if opts.refine:
-                        refined = tensor_rayleigh(mep, vs, ys)
-                        refined_res = _residuals(refined, vs)[1]
+                        refined = tensor_rayleigh(mep, xs, ys)
+                        refined_res = _residuals(refined, xs)[1]
                         if refined_res <= opts.tol:
                             reg_values, reg_res = refined, refined_res
-                    mep_register(mep, registry, reg_values, vs, ys,
+                    mep_register(mep, registry, reg_values, xs, ys,
                                  residual=reg_res, iteration=outer)
                     records.append(MepRecord(outer, reg_values, reg_res, crit,
                                              "converged"))
@@ -933,35 +986,39 @@ def mep_subspace_solve(mep, options=None, v0s=None):
 
         # restart watches the largest factor space: restarts drop dependent
         # kept directions, so the factor dimensions need not stay equal.
-        # Keep the first mindim passing candidates, topped up with failing
-        # ones in target order; the walk stops once mindim have passed.
+        # Keep the chosen candidate and the first passing ones, topped up
+        # with failing ones in target order, mindim directions at most (a
+        # real space takes the Re and Im parts of a complex candidate's
+        # factor vectors); the walk stops once mindim have passed.
         if max(sp.k for sp in spaces) >= opts.maxdim:
             passing = list(itertools.islice(_passing(), opts.mindim))
             failing = [i for i in range(len(cands)) if i not in passing]
-            keep = (passing + failing)[: opts.mindim]
-            if chosen in keep:
-                keep.remove(chosen)
-            keep = ([chosen] + keep)[: opts.mindim]
+            keep = [chosen] + [j for j in passing + failing if j != chosen]
             for i in range(N):
-                spaces[i].restart([cands[j].xs[i] for j in keep])
+                spaces[i].restart((cands[j].xs[i] for j in keep),
+                                  limit=opts.mindim)
             records.append(MepRecord(outer, values, relres, crit, "restarted"))
 
+        # a complex tuple of a real problem is corrected in complex
+        # arithmetic; its real space grows by Re t and Im t (SearchSpace)
         ts = []
         for i in range(N):
             t = _factor_correction(mep.t_eval(i, values), vs[i], rs[i],
                                    opts.inner_steps, precs[i])
             if t is None or np.linalg.norm(t) == 0.0:
-                t = _rand(i)
+                t = _randn(mep.dims[i])
             ts.append(t)
 
     return MepResult(registry, records, outer, True, blocked)
 
 
 def to_dense_matvec(mep, i, values, v):
-    """T_i(values) @ v without forcing sparse factors dense."""
+    """T_i(values) @ v without forcing sparse factors dense; real for a real
+    problem at real values and a real v."""
     out = mep.a_mat(i) @ v
-    for j, val in enumerate(values):
-        out = out - complex(val) * (mep.param_mats(i)[j] @ v)
+    for val, P in zip(_field_values(values, not np.iscomplexobj(out)),
+                      mep.param_mats(i)):
+        out = out - val * (P @ v)
     return out
 
 

@@ -758,6 +758,37 @@ class TestSearchSpaceBuffers:
         np.testing.assert_allclose(space.V.conj().T @ space.V, np.eye(13),
                                    atol=1e-13)
 
+    def test_real_space_splits_complex_vectors(self):
+        # a float64 space takes a complex vector as its Re and Im parts; a
+        # part that adds no direction is dropped, not replaced at random
+        rng = np.random.default_rng(3)
+        mats = [rng.standard_normal((12, 12)) for _ in range(3)]
+        space = jdsolver.SearchSpace(mats, rng, dtype=float)
+
+        def spans(V, vs):
+            return all(np.linalg.norm(v - V @ (V.T @ v))
+                       <= 1e-12 * np.linalg.norm(v) for v in vs)
+
+        x, y, z = (rng.standard_normal(12) for _ in range(3))
+        space.append(x + 1j * y)
+        space.append(np.exp(0.7j) * z)  # Re and Im parts are parallel
+        assert space.k == 3
+        assert spans(space.V, (x, y, z))
+        for _ in range(3):
+            space.append(rng.standard_normal(12))
+        V = space.V.copy()
+        assert {a.dtype for a in [space.V] + space.W + space.H} == {
+            np.dtype(np.float64)}
+        # a conjugate adds nothing, and limit caps the kept directions
+        a, b, c, d = (rng.standard_normal(6) for _ in range(4))
+        space.restart([a + 1j * b, a - 1j * b, c, d], limit=3)
+        assert space.k == 3
+        assert spans(space.V, (V @ a, V @ b, V @ c))
+        assert not spans(space.V, (V @ d,))
+        for A, W, H in zip(mats, space.W, space.H):
+            assert np.linalg.norm(W - A @ space.V) <= 1e-13 * np.linalg.norm(W)
+            assert np.linalg.norm(H - space.V.T @ W) <= 1e-13 * np.linalg.norm(H)
+
 
 class TestSnapInfinite:
     """A converged projective value within its accuracy of infinity is

@@ -6,6 +6,7 @@ iteratively here.
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from eigensel import homogeneous as hom
 from eigensel import linsolve
@@ -140,6 +141,52 @@ class TestDenseInverse:
             M = LuPreconditioner(A)
         # the inverse is that of the regularized matrix
         self.assert_matches_lu_solve(A + 1e-14 * norm1(A) * np.eye(12), M)
+
+
+class TestRealInput:
+    """Real input stays real and matches the complex-cast computation."""
+
+    @staticmethod
+    def real_system(n, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
+        return A, rng.standard_normal(n)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_gmres(self):
+        A, b = self.real_system(30, 3)
+        P = A + 0.5 * np.random.default_rng(4).standard_normal((30, 30))
+        for M in (None, LuPreconditioner(P)):
+            x, relres, its = gmres(A, b, tol=1e-10, maxiter=20, M=M)
+            assert x.dtype == np.float64
+            Mc = None if M is None else LuPreconditioner(P.astype(complex))
+            xc, relres_c, its_c = gmres(A.astype(complex), b.astype(complex),
+                                        tol=1e-10, maxiter=20, M=Mc)
+            assert its == its_c
+            assert abs(relres - relres_c) <= 1e-12
+            self.assert_close(x, xc)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_lu_preconditioner(self, sparse):
+        A, b = self.real_system(20, 5)
+        B = np.column_stack([b, np.random.default_rng(6).standard_normal(20)])
+        wrap = sp.csc_matrix if sparse else np.asarray
+        M = LuPreconditioner(wrap(A))
+        Mc = LuPreconditioner(wrap(A.astype(complex)))
+        assert M.dtype == np.float64 and Mc.dtype == np.complex128
+        for rhs in (b, B):
+            for adjoint in (False, True):
+                got = M.solve(rhs, adjoint=adjoint)
+                assert got.dtype == np.float64
+                self.assert_close(got, Mc.solve(rhs.astype(complex),
+                                                adjoint=adjoint))
+                # a complex right-hand side is solved as its two parts
+                z = rhs + 1j * rhs[::-1]
+                self.assert_close(M.solve(z, adjoint=adjoint),
+                                  Mc.solve(z, adjoint=adjoint))
 
 
 class TestNullVector:

@@ -20,8 +20,7 @@ from eigensel.mep import (
     MepOptions,
     cheb,
     criterion_threshold,
-    dd_operator_2p,
-    dd_operator_3p,
+    dd_operator,
     dd_sandwich,
     delta_operators,
     dense_solve,
@@ -166,8 +165,8 @@ class TestDividedDifferenceOperator:
     def test_linear_two_param_equals_delta0(self):
         # constant blocks -P_ij: the operator determinant is exactly Delta_0
         m = gen_random_mep((3, 4), seed=8)
-        op = dd_operator_2p(linear_callbacks(m, 0), linear_callbacks(m, 1),
-                            (0.3 + 1.0j, -0.2), (1.1, 0.7 - 0.5j))
+        op = dd_operator([linear_callbacks(m, 0), linear_callbacks(m, 1)],
+                         (0.3 + 1.0j, -0.2), (1.1, 0.7 - 0.5j))
         np.testing.assert_allclose(op.dense(), delta_operators(m)[0],
                                    rtol=1e-12, atol=1e-12)
 
@@ -175,8 +174,7 @@ class TestDividedDifferenceOperator:
         # one more factor flips the sign: (-1)^3 det[[P_ij]]
         m = gen_random_mep((2, 3, 2), seed=9)
         cbs = [linear_callbacks(m, i) for i in range(3)]
-        op = dd_operator_3p(cbs[0], cbs[1], cbs[2],
-                            (0.1, 0.2, 0.3), (1.0, -1.0, 0.5))
+        op = dd_operator(cbs, (0.1, 0.2, 0.3), (1.0, -1.0, 0.5))
         np.testing.assert_allclose(op.dense(), -delta_operators(m)[0],
                                    rtol=1e-12, atol=1e-12)
 
@@ -194,7 +192,7 @@ class TestDividedDifferenceOperator:
 
         other = gen_random_mep((3, 3), seed=11)
         p, q = (0.4, -0.7), (1.3, 0.9)
-        op = dd_operator_2p((ev, pa), linear_callbacks(other, 0), p, q)
+        op = dd_operator([(ev, pa), linear_callbacks(other, 0)], p, q)
         want = -B - (p[0] + q[0]) * E
         np.testing.assert_allclose(op.blocks[0][0], want, rtol=1e-12,
                                    atol=1e-12)
@@ -216,7 +214,7 @@ class TestDividedDifferenceOperator:
 
         other = gen_random_mep((3, 3), seed=13)
         p, q = (0.2 + 0.3j, -1.0), (0.8, 0.5 - 0.2j)
-        op = dd_operator_2p((ev, pa), linear_callbacks(other, 0), p, q)
+        op = dd_operator([(ev, pa), linear_callbacks(other, 0)], p, q)
         got = sum((q[j] - p[j]) * op.blocks[0][j] for j in range(2))
         np.testing.assert_allclose(got, ev(q) - ev(p), rtol=1e-12, atol=1e-12)
 
@@ -232,15 +230,15 @@ class TestDividedDifferenceOperator:
 
         other = gen_random_mep((3, 3), seed=15)
         lam = 0.6
-        op = dd_operator_2p((ev, pa), linear_callbacks(other, 0),
-                            (lam, -0.7), (lam, 0.9))
+        op = dd_operator([(ev, pa), linear_callbacks(other, 0)],
+                         (lam, -0.7), (lam, 0.9))
         np.testing.assert_allclose(op.blocks[0][0], pa(0, (lam, 0.0)),
                                    atol=1e-12)
 
     def test_factored_matvec_matches_dense(self):
         m = gen_random_mep((3, 4), seed=16)
-        op = dd_operator_2p(linear_callbacks(m, 0), linear_callbacks(m, 1),
-                            (0.1, 0.2), (0.9, -0.5))
+        op = dd_operator([linear_callbacks(m, 0), linear_callbacks(m, 1)],
+                         (0.1, 0.2), (0.9, -0.5))
         rng = np.random.default_rng(17)
         z = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         np.testing.assert_allclose(op.matvec(z), op.dense() @ z, rtol=1e-12,
@@ -479,6 +477,69 @@ class TestProjectedExtraction:
         assert len(sparse) == len(dense) == 3
         for t in sparse:
             assert min(dist(t.values, u.values) for u in dense) <= 1e-8
+
+
+class TestRealArithmetic:
+    """Real problems at real targets run on float64 spaces and Delta's."""
+
+    @staticmethod
+    def _spied_solve(monkeypatch, m, opts):
+        eig_dtypes, spaces = [], []
+        eig = np.linalg.eig
+
+        def spy_eig(a):
+            eig_dtypes.append(np.asarray(a).dtype)
+            return eig(a)
+
+        class SpySpace(mepmod.SearchSpace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spaces.append(self)
+
+        monkeypatch.setattr(np.linalg, "eig", spy_eig)
+        monkeypatch.setattr(mepmod, "SearchSpace", SpySpace)
+        res = mep_subspace_solve(m, opts)
+        buffers = {a.dtype for s in spaces for a in [s.V] + s.W + s.H}
+        return res, set(eig_dtypes), buffers
+
+    def test_dtype_follows_the_input(self, monkeypatch):
+        bvp = gen_fourpoint_bvp(12)
+        assert bvp.dtype == np.float64
+        res, eigs, buffers = self._spied_solve(
+            monkeypatch, bvp,
+            MepOptions(target=(0.0, 0.0, 0.0), num_pairs=3, tol=1e-10,
+                       mindim=3, maxdim=5, max_outer=80, seed=0))
+        assert len(res.registry) == 3
+        assert eigs == buffers == {np.dtype(np.float64)}
+
+        rand = gen_random_mep((5, 6), seed=0)
+        assert rand.dtype == np.complex128
+        res, eigs, buffers = self._spied_solve(
+            monkeypatch, rand,
+            MepOptions(target=(0.0, 0.0), num_pairs=2, tol=1e-9, mindim=3,
+                       maxdim=5, max_outer=80, seed=0))
+        assert eigs == buffers == {np.dtype(np.complex128)}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_complex_tuples_of_a_real_problem(self, seed):
+        # the nearest three tuples are one real tuple and a conjugate pair;
+        # the pair is found through complex corrections of real spaces
+        ops = gen_random_mep((6, 6), seed=seed).ops
+        m = LinearMep2(*[M.real for row in ops for M in row])
+        assert m.dtype == np.float64
+        oracle = sorted(dense_solve(m), key=lambda p: dist(p.values, (0, 0)))
+        nearest = [p.values for p in oracle[:3]]
+        assert [max(abs(v.imag) for v in t) > 1e-3 for t in nearest] == [
+            False, True, True]
+        opts = MepOptions(target=(0.0, 0.0), num_pairs=3, tol=1e-9,
+                          mindim=5, maxdim=6, max_outer=100, seed=0)
+        res = mep_subspace_solve(m, opts)
+        assert len(res.registry) == 3
+        matched = {min(range(3), key=lambda k: dist(t.values, nearest[k]))
+                   for t in res.registry}
+        assert matched == {0, 1, 2}
+        for t in res.registry:
+            assert min(dist(t.values, w) for w in nearest) <= 1e-8
 
 
 def worst_factor_residual(mep, t):
