@@ -14,8 +14,10 @@ Layout:
     homogeneous  projective eigenvalue points, infinite eigenvalues
     selection    registry, divided-difference criterion, registration
     linsolve     GMRES, LU preconditioning, correction and null-vector solves
-    jdsolver     Jacobi-Davidson loop for one-parameter problems + oracles
-    mep          linear two/three-parameter problems, tensor criterion, solver
+    jdsolver     the selection loop of both solvers, jd_solve for
+                 one-parameter problems, dense oracles
+    mep          linear two/three-parameter problems, tensor criterion,
+                 mep_subspace_solve on jdsolver's selection loop
 """
 
 from . import homogeneous, jdsolver, linsolve, mep, problems, selection

@@ -19,22 +19,25 @@ problems it serves.
 A pair converges when its residual passes the scaled tolerance AND the
 criterion accepts it; its left eigenvector is then solved for, the triplet
 is registered, and the process continues toward the next pair without any
-deflation or locking of the problem.
+deflation or locking of the problem.  A converged value whose
+registration fails (defective or multiple eigenvalue, or an unobtainable
+left vector) or that the criterion rejects is remembered on a blocked list
+and excluded from later extraction, otherwise the solver would re-select it
+forever.  A restart keeps the pick, the first mindim passing pairs and then
+the rest in target order.
 
-All Ritz pairs of an iteration are scored in one contraction
-(selection.candidate_criteria) with the registry's cached rows y* A_i times
-V; no candidate vector is formed to be judged.  The correction equation
-forms P(theta) once and never P'(theta), so the derivative matrix is only
-built when a triplet is registered.
+That iteration is _selection_loop, which mep_subspace_solve runs too, with
+its own extraction, criterion, residuals, registration and correction.
+jd_solve scores all pairs of an iteration in one contraction
+(selection.candidate_criteria) with the registry's cached rows y* A_i
+times V; no candidate vector is formed to be judged.  The correction
+equation forms P(theta) once and never P'(theta), so the derivative matrix
+is only built when a triplet is registered.
 
-Restarts keep the best criterion-passing pairs.  Infinite eigenvalues are
-first-class citizens in homogeneous mode: eigenvalue approximations are
-projective points, residuals use the homogeneous evaluation, and the
-correction equation uses the homogeneous derivative operator.
-
-A converged value whose registration fails (defective or multiple eigenvalue,
-or an unobtainable left vector) is remembered on a blocked list and excluded
-from later extraction, otherwise the solver would re-select it forever.
+Infinite eigenvalues are first-class citizens in homogeneous mode:
+eigenvalue approximations are projective points, residuals use the
+homogeneous evaluation, and the correction equation uses the homogeneous
+derivative operator.
 
 oracle_all_eigenpairs provides the dense brute-force reference (all 2n / mn
 eigenvalues with left and right eigenvectors) used by the tests;
@@ -49,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +101,12 @@ MONIC_MIN_RCOND = math.sqrt(np.finfo(float).eps)
 # |beta| below this on a normalized projected eigenvalue counts as infinite.
 _BETA_CUT = 1e-12
 
+# Exclusion radius around values whose registration failed (relative, or
+# chordal for projective points), and the floor of the relative tolerance of
+# a left eigenvector solve; both solver loops use them.
+_BLOCKED_TOL = 1e-6
+_LEFT_RTOL = 1e-8
+
 # Columns a SearchSpace holds before its first growth; doubling from here
 # fits jd_solve's default maxdim of 20 in one growth.
 _INITIAL_CAPACITY = 10
@@ -124,8 +134,9 @@ class JDOptions:
         interior eigenvalues near target, where Ritz pairs re-offer the
         registered ones), Ritz in homogeneous mode.
     seed : seed for every random draw of the run.
-    blocked_tol : exclusion radius around values whose registration failed.
-    left_rtol : relative tolerance for the left eigenvector solve.
+
+    The radius around blocked values and the floor of the left eigenvector
+    tolerance are the module constants _BLOCKED_TOL and _LEFT_RTOL.
     """
 
     target: complex = 0.0
@@ -139,8 +150,6 @@ class JDOptions:
     mode: str = "standard"
     extraction: str = "ritz"
     seed: int = 0
-    blocked_tol: float = 1e-6
-    left_rtol: float = 1e-8
 
     def validate(self, n):
         if not 1 <= self.mindim < self.maxdim <= n:
@@ -186,7 +195,8 @@ class SearchSpace:
     """Orthonormal basis V with cached products W_i = M_i V, H_i = V* W_i.
 
     mats is the list of operator matrices acting on this space (the PEP
-    coefficients, or one factor's matrices of a multiparameter problem).
+    coefficients, or one factor's matrices of a multiparameter problem),
+    all n x n.
 
     V, every W_i and every H_i live in preallocated column-major buffers
     whose capacity doubles when an append finds them full (capped at n).
@@ -205,7 +215,7 @@ class SearchSpace:
         self.rng = rng
         self.k = 0
         self.dtype = np.dtype(dtype)
-        n = mats[0].shape[0]
+        self.n = n = mats[0].shape[0]
         cap = min(n, _INITIAL_CAPACITY)
         self._V = np.empty((n, cap), dtype=dtype, order="F")
         self._W = [np.empty((n, cap), dtype=dtype, order="F") for _ in mats]
@@ -255,9 +265,8 @@ class SearchSpace:
             v = self.append(t.real, fill)
             self.append(t.imag, fill=False)
             return v
-        n = self._V.shape[0]
         k = self.k
-        if k >= n:
+        if k >= self.n:
             return None
         v = rgs(self.V, t, self.rng, fill)
         if v is None:
@@ -480,14 +489,6 @@ def gal1_refine(problem, v, target, theta0=None):
     return complex(roots[pick])
 
 
-def _theta_scalar(theta):
-    """Recordable complex value of a scalar or projective theta."""
-    if isinstance(theta, hom.ProjectivePoint):
-        s = theta.to_scalar()
-        return complex(math.inf, 0.0) if s == math.inf else complex(s)
-    return complex(theta)
-
-
 def _residual(problem, space, theta, c):
     """Residual vector and scaled norm for a primitive Ritz pair."""
     m = problem.degree
@@ -529,16 +530,114 @@ def _unit(v):
 
 
 def _is_blocked(theta, blocked, tol):
-    for b in blocked:
-        if isinstance(theta, hom.ProjectivePoint) or isinstance(b, hom.ProjectivePoint):
-            pt = theta if isinstance(theta, hom.ProjectivePoint) else hom.from_scalar(theta)
-            bp = b if isinstance(b, hom.ProjectivePoint) else hom.from_scalar(b)
-            if hom.chordal_distance(pt, bp) <= tol:
-                return True
+    """True when theta lies within tol of a blocked value: chordally in
+    homogeneous mode, where every value is a projective point, and relative
+    to the blocked value in standard mode."""
+    if isinstance(theta, hom.ProjectivePoint):
+        return any(hom.chordal_distance(theta, b) <= tol for b in blocked)
+    return any(abs(theta - b) <= tol * max(1.0, abs(b)) for b in blocked)
+
+
+# A pick of the selection loop: value and relative residual as recorded and
+# blocked, the residual test, the criterion, and per search space the unit
+# vector and residual vector that its correction starts from.
+_Pick = namedtuple("_Pick", "value res converged crit vecs rs")
+
+
+def _selection_loop(opts, spaces, ts, registry, blocked, cutoff, randn, *,
+                    extract, is_blocked, criteria, no_pass, pair, register,
+                    correct, record, basis):
+    """The outer iteration that jd_solve and mep_subspace_solve share.
+
+    The hooks: extract() gives the candidates in target order and
+    is_blocked(cand) drops a blocked one; criteria(cands) scores them,
+    read by index, passing below cutoff; no_pass(crits) is the pick when
+    none passes; pair(cand, crit, first) makes the pick a _Pick;
+    register(pick, outer) registers it and returns the value and residual
+    to record; correct(pick) yields one correction per space; basis(cand)
+    gives one coefficient vector per space; randn(n) draws a random
+    vector; record(outer, value, residual, criterion, event) logs an
+    event.  Returns (outer iterations, truncated).
+    """
+
+    def fresh_start():
+        """Random expansions, after restarting full spaces on a random one."""
+        if max(sp.k for sp in spaces) >= opts.maxdim:
+            for sp in spaces:
+                sp.restart([randn(sp.k)])
+        return [randn(sp.n) for sp in spaces]
+
+    def passing():
+        """Indices of passing candidates in target order, read lazily."""
+        return (j for j in range(len(cands)) if crits[j] < cutoff)
+
+    def select():
+        """(index of the pick, whether it passes)."""
+        j = next(passing(), None)
+        return (no_pass(crits), False) if j is None else (j, True)
+
+    outer = 0
+    while outer < opts.max_outer:
+        outer += 1
+        for sp, t in zip(spaces, ts):
+            sp.append(t)
+
+        cands = [c for c in extract() if not is_blocked(c)]
+        if not cands:
+            record(outer, None, math.nan, math.nan, "no_candidates")
+            ts = fresh_start()
+            continue
+        crits = criteria(cands)
+        chosen, sel_ok = select()
+        p = pair(cands[chosen], crits[chosen], True)
+
+        if p.converged:
+            if sel_ok:
+                try:
+                    record(outer, *register(p, outer), p.crit, "converged")
+                except (DefectiveEigenvalueError,
+                        linsolve.NullVectorError) as exc:
+                    blocked.append(p.value)
+                    record(outer, p.value, p.res, p.crit,
+                           f"rejected: {type(exc).__name__}")
+                if len(registry) >= opts.num_pairs:
+                    return outer, False
+            else:
+                # converged in residual yet rejected by the criterion: a
+                # re-found (or defective) eigenvalue; block it so extraction
+                # stops offering it, otherwise the run livelocks on it
+                blocked.append(p.value)
+                record(outer, p.value, p.res, p.crit,
+                       "rejected: converged duplicate")
+            # pick again among the other candidates against the updated
+            # registry (a just-registered value now fails by construction)
+            cands = [c for j, c in enumerate(cands)
+                     if j != chosen and not is_blocked(c)]
+            if not cands:
+                ts = fresh_start()
+                continue
+            crits = criteria(cands)
+            chosen = select()[0]
+            p = pair(cands[chosen], crits[chosen], False)
         else:
-            if abs(complex(theta) - complex(b)) <= tol * max(1.0, abs(complex(b))):
-                return True
-    return False
+            record(outer, p.value, p.res, p.crit,
+                   "expanded" if sel_ok else "no-pass")
+
+        # restarts drop dependent kept directions, so several spaces need
+        # not keep equal dimensions; the largest one decides
+        if max(sp.k for sp in spaces) >= opts.maxdim:
+            first = list(itertools.islice(passing(), opts.mindim))
+            rest = [j for j in range(len(cands)) if j not in first]
+            keep = [chosen] + [j for j in first + rest if j != chosen]
+            for i, sp in enumerate(spaces):
+                sp.restart((basis(cands[j])[i] for j in keep),
+                           limit=opts.mindim)
+            record(outer, p.value, p.res, p.crit, "restarted")
+
+        ts = [t if np.all(np.isfinite(t)) and np.linalg.norm(t) > 0.0
+              else randn(sp.n) for sp, t in zip(spaces, correct(p))]
+
+    return outer, True
 
 
 def jd_solve(problem, options=None, v0=None, M=None):
@@ -571,143 +670,68 @@ def jd_solve(problem, options=None, v0=None, M=None):
     records = []
     blocked = []
 
-    def _rand():
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    def _rand(k):
+        return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
-    def _fresh_start():
-        """Random expansion, after restarting a full space on a random one."""
-        if space.k >= opts.maxdim:
-            space.restart([rng.standard_normal(space.k)
-                           + 1j * rng.standard_normal(space.k)])
-        return _rand()
+    def _pair(cand, crit, first):
+        """The pick at theta, which the first pick of an iteration refines
+        (gal1_refined) and, once converged, snaps to infinity."""
+        theta, c = cand.theta, cand.v
+        vc = space.V @ c
+        crit = float(crit)
+        if first and opts.extraction == "gal1_refined":
+            theta = _gal1_for_mode(problem, vc, target, theta, homo)
+            crit = criterion_value(problem, registry,
+                                   CandidatePair(theta, _unit(vc)), config)
+        r, resnorm, scale = _residual(problem, space, theta, c)
+        converged = resnorm <= opts.tol * scale
+        rho = resnorm / scale
+        if first and converged:
+            theta, rho = _snap_infinite(problem, space, theta, c, rho,
+                                        opts.tol)
+        return _Pick(theta, rho, converged, crit, [_unit(vc)], [r])
 
-    def _unblocked(cs):
-        return [c for c in cs
-                if not _is_blocked(c.theta, blocked, opts.blocked_tol)]
+    def _register(p, outer):
+        """Left eigenvector, then registration.  The left residual cannot
+        undercut the accuracy of theta itself, so the tolerance tracks the
+        achieved right residual."""
+        y = linsolve.left_eigenvector(
+            problem, p.value, rtol=max(_LEFT_RTOL, 10.0 * p.res), M=M,
+            seed=opts.seed + 1000 + len(registry) + len(blocked),
+        )
+        register(problem, registry, p.value, p.vecs[0], y, config,
+                 residual=p.res, iteration=outer)
+        return p.value, p.res
 
-    def _select():
-        """Criterion values of all candidates, scored in one contraction
-        against the registry, and the chosen index: the first passing one
-        (candidates are in target order), or when none passes the one with
-        the smallest criterion, the pair least like a registered one."""
-        crits = candidate_criteria(problem, registry, space.V, cands, config)
-        passing = np.flatnonzero(crits < opts.eta)
-        return crits, int(passing[0] if passing.size else np.argmin(crits))
+    def _record(outer, theta, res, crit, event):
+        if theta is None:
+            theta = math.nan
+        elif isinstance(theta, hom.ProjectivePoint):
+            theta = theta.to_scalar()  # math.inf for the infinite point
+        records.append(ConvergenceRecord(outer, complex(theta), res, crit,
+                                         event))
 
-    t = _rand() if v0 is None else np.asarray(v0, dtype=complex)
+    t = _rand(n) if v0 is None else np.asarray(v0, dtype=complex)
     space = SearchSpace(problem.coeffs, rng)
     target = hom.from_scalar(complex(opts.target)) if homo else complex(opts.target)
 
-    outer = 0
-    while outer < opts.max_outer:
-        outer += 1
-        space.append(t)
-
-        cands = _unblocked(extract_candidates(space, target, opts.mode))
-        if not cands:
-            records.append(
-                ConvergenceRecord(outer, complex(np.nan), math.nan, math.nan,
-                                  "no_candidates")
-            )
-            t = _fresh_start()
-            continue
-
-        crits, chosen_idx = _select()
-        # a failing pick cannot be registered (a residual-converged one is
-        # blocked below)
-        sel_ok = crits[chosen_idx] < opts.eta
-
-        theta, c = cands[chosen_idx].theta, cands[chosen_idx].v
-        vc = space.V @ c
-        if opts.extraction == "gal1_refined":
-            theta = _gal1_for_mode(problem, vc, target, theta, homo)
-        v = _unit(vc)
-        r, resnorm, scale = _residual(problem, space, theta, c)
-        if opts.extraction == "gal1_refined":
-            crit = criterion_value(problem, registry, CandidatePair(theta, v),
-                                   config)
-        else:
-            crit = float(crits[chosen_idx])
-
-        if resnorm <= opts.tol * scale:
-            theta, rho = _snap_infinite(problem, space, theta, c,
-                                        resnorm / scale, opts.tol)
-            if sel_ok:
-                # eigenpair found: left eigenvector, then registration.  The
-                # left residual cannot undercut the accuracy of theta
-                # itself, so the tolerance tracks the achieved right
-                # residual.
-                try:
-                    y = linsolve.left_eigenvector(
-                        problem,
-                        theta,
-                        rtol=max(opts.left_rtol, 10.0 * rho),
-                        M=M,
-                        seed=opts.seed + 1000 + len(registry) + len(blocked),
-                    )
-                    register(problem, registry, theta, v, y, config,
-                             residual=rho, iteration=outer)
-                    records.append(
-                        ConvergenceRecord(outer, _theta_scalar(theta), rho,
-                                          crit, "converged")
-                    )
-                except (DefectiveEigenvalueError,
-                        linsolve.NullVectorError) as exc:
-                    blocked.append(theta)
-                    records.append(
-                        ConvergenceRecord(outer, _theta_scalar(theta), rho,
-                                          crit,
-                                          f"rejected: {type(exc).__name__}")
-                    )
-                if len(registry) >= opts.num_pairs:
-                    return JDResult(registry, records, outer, False, blocked)
-            else:
-                # converged in residual yet rejected by the criterion: a
-                # re-found (or defective) eigenvalue; keep extraction from
-                # offering it again, otherwise the run livelocks on it
-                blocked.append(theta)
-                records.append(
-                    ConvergenceRecord(outer, _theta_scalar(theta), rho, crit,
-                                      "rejected: converged duplicate")
-                )
-            # select the next-best pair that passes against the updated
-            # registry (a just-registered value now fails by construction)
-            cands = _unblocked(cand for i, cand in enumerate(cands)
-                               if i != chosen_idx)
-            if not cands:
-                t = _fresh_start()
-                continue
-            crits, chosen_idx = _select()
-            theta, c = cands[chosen_idx].theta, cands[chosen_idx].v
-            v = _unit(space.V @ c)
-            r, resnorm, scale = _residual(problem, space, theta, c)
-        else:
-            records.append(
-                ConvergenceRecord(outer, _theta_scalar(theta), resnorm / scale,
-                                  crit, "expanded" if sel_ok else "no-pass")
-            )
-
-        if space.k >= opts.maxdim:
-            # keep criterion-passing pairs nearest the target, then fill up
-            passing = [i for i in range(len(cands)) if crits[i] < opts.eta]
-            failing = [i for i in range(len(cands)) if i not in set(passing)]
-            keep = (passing + failing)[: opts.mindim]
-            if chosen_idx in keep:
-                keep.remove(chosen_idx)
-            keep = ([chosen_idx] + keep)[: opts.mindim]
-            space.restart([cands[i].v for i in keep])
-            records.append(
-                ConvergenceRecord(outer, _theta_scalar(theta), resnorm / scale,
-                                  crit, "restarted")
-            )
-
-        t = linsolve.projected_correction_solve(
-            problem, theta, v, r, steps=opts.inner_steps, M=M
-        )
-        if not np.all(np.isfinite(t)) or np.linalg.norm(t) == 0.0:
-            t = _rand()
-
-    return JDResult(registry, records, outer, True, blocked)
+    outer, truncated = _selection_loop(
+        opts, [space], [t], registry, blocked, opts.eta, _rand,
+        extract=lambda: extract_candidates(space, target, opts.mode),
+        is_blocked=lambda c: _is_blocked(c.theta, blocked, _BLOCKED_TOL),
+        criteria=lambda cands: candidate_criteria(problem, registry, space.V,
+                                                  cands, config),
+        # the pair least like a registered one; it cannot be registered
+        no_pass=lambda crits: int(np.argmin(crits)),
+        pair=_pair,
+        register=_register,
+        correct=lambda p: [linsolve.projected_correction_solve(
+            problem, p.value, p.vecs[0], p.rs[0], steps=opts.inner_steps,
+            M=M)],
+        record=_record,
+        basis=lambda c: [c.v],
+    )
+    return JDResult(registry, records, outer, truncated, blocked)
 
 
 def _gal1_for_mode(problem, v, target, theta, homo):

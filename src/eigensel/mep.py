@@ -19,8 +19,8 @@ normalized sandwich plays the role of the selection criterion.
 
 dense_solve is the brute-force oracle on the full tensor space: a
 two-sided QZ of the Delta pencil with left and right factor vectors and
-residual self-checks.  mep_subspace_solve runs the Jacobi-Davidson loop with
-one search space per factor and the sandwich criterion steering selection;
+residual self-checks.  mep_subspace_solve runs jdsolver's selection loop
+with one search space per factor and the sandwich criterion steering it;
 its projected extraction is one-sided, a standard eigenproblem of
 Delta_0^{-1} sum_j c_j Delta_j with factor vectors split off only for the
 candidates the selection walk reads.  A real problem at a real target runs
@@ -38,7 +38,15 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linsolve
-from .jdsolver import OracleCapError, SearchSpace, _oracle_cap
+from .jdsolver import (
+    _BLOCKED_TOL,
+    _LEFT_RTOL,
+    OracleCapError,
+    SearchSpace,
+    _oracle_cap,
+    _Pick,
+    _selection_loop,
+)
 from .problems import norm1, to_dense
 from .selection import DefectiveEigenvalueError
 
@@ -312,6 +320,18 @@ class _RitzCandidate:
     @cached_property
     def xs(self):
         return _rank1_factors(self.z, self.dims)[0]
+
+
+class _OnFirstRead(dict):
+    """Values f(key), each computed when it is first read."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = value = self.f(key)
+        return value
 
 
 def _projected_candidates(small):
@@ -705,7 +725,10 @@ def tensor_rayleigh(mep, xs, ys):
 
 @dataclass
 class MepOptions:
-    """mep_subspace_solve parameters (see JDOptions for the shared fields)."""
+    """mep_subspace_solve parameters (see JDOptions for the shared fields,
+    with one target value per parameter and mindim, maxdim bounding every
+    factor space).  criterion names the mep_criterion variant, "new" or
+    "strict"."""
 
     target: tuple = (0.0, 0.0)
     num_pairs: int = 1
@@ -717,9 +740,6 @@ class MepOptions:
     eta: float = 0.1
     criterion: str = "new"
     seed: int = 0
-    blocked_tol: float = 1e-6
-    left_rtol: float = 1e-8
-    refine: bool = True
 
     def validate(self, mep):
         if len(self.target) != mep.nparams:
@@ -768,10 +788,9 @@ def _values_dist(a, b):
 
 
 def _mep_blocked(values, blocked, tol):
-    for b in blocked:
-        if _values_dist(values, b) <= tol * (1.0 + _values_dist(b, [0] * len(b))):
-            return True
-    return False
+    return any(_values_dist(values, b)
+               <= tol * (1.0 + _values_dist(b, [0] * len(b)))
+               for b in blocked)
 
 
 def _factor_correction(Tmat, v, r, steps, M):
@@ -796,10 +815,7 @@ def _factor_correction(Tmat, v, r, steps, M):
 
     rhs = -proj(r)
     t, _, _ = linsolve.gmres(op, rhs, tol=1e-6, maxiter=steps, M=psolve)
-    t = proj(t)
-    if not np.all(np.isfinite(t)):
-        return None
-    return t
+    return proj(t)
 
 
 def mep_subspace_solve(mep, options=None, v0s=None):
@@ -810,7 +826,9 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     one-sided standard eigensolve of the projected Delta pencil (dense_solve
     stays the two-sided oracle), walks them in target order until the
     sandwich criterion accepts one, and expands every factor space with a
-    projected correction.  A pair converges when all factor residuals meet
+    projected correction.  The loop is jdsolver's selection loop; criteria
+    are computed on their first read, and when none passes the nearest
+    candidate is taken.  A pair converges when all factor residuals meet
     the relative tolerance and the criterion passes; its left factor vectors
     are computed as adjoint null vectors, the parameter values are refined
     by the two-sided tensor Rayleigh system (kept only if every factor
@@ -855,161 +873,78 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     registry = []
     records = []
     blocked = []
-    cutoff = criterion_threshold(opts.eta, opts.criterion)
-    cands = []
-    crit_vals = {}
 
-    def _unblocked(cs):
-        return [c for c in cs
-                if not _mep_blocked(c.values, blocked, opts.blocked_tol)]
-
-    def _crit(idx):
-        if idx not in crit_vals:
-            c = cands[idx]
-            vs = [spaces[i].V @ c.xs[i] for i in range(N)]
-            crit_vals[idx] = mep_criterion(mep, registry, vs,
-                                           variant=opts.criterion)
-        return crit_vals[idx]
-
-    def _passing():
-        """Indices of passing candidates in target order, walked lazily."""
-        return (idx for idx in range(len(cands)) if _crit(idx) < cutoff)
-
-    def _residuals(values, vs):
-        """Factor residuals at (values, unit vs) and the worst relative one."""
-        rs = [to_dense_matvec(mep, i, values, vs[i]) for i in range(N)]
-        rels = [
-            float(np.linalg.norm(rs[i])) / mep.tolerance_scale(i, values)
-            for i in range(N)
-        ]
-        return rs, max(rels)
-
-    def _full_pair(idx):
-        c = cands[idx]
-        vs = [spaces[i].V @ c.xs[i] for i in range(N)]
-        vs = [v / np.linalg.norm(v) for v in vs]
-        return (c.values, vs) + _residuals(c.values, vs)
-
-    def _fresh_start():
-        """Random expansions, after restarting full spaces on a random one."""
-        if max(sp.k for sp in spaces) >= opts.maxdim:
-            for sp in spaces:
-                sp.restart([_randn(sp.k)])
-        return [_randn(mep.dims[i]) for i in range(N)]
-
-    outer = 0
-    while outer < opts.max_outer:
-        outer += 1
-        for i in range(N):
-            spaces[i].append(ts[i])
-
-        # projected small MEP on the factor bases
+    def _extract():
+        """Ritz tuples of the projected small MEP in target order."""
         small = _LinearMepBase([tuple(sp.H) for sp in spaces])
         try:
             cands = _projected_candidates(small)
         except np.linalg.LinAlgError:
-            cands = []
-        cands = _unblocked(cands)
-        cands.sort(key=lambda c: _values_dist(c.values, target))
-        crit_vals.clear()
-        if not cands:
-            records.append(MepRecord(outer, (), math.nan, math.nan,
-                                     "no_candidates"))
-            ts = _fresh_start()
-            continue
+            return []
+        return sorted(cands, key=lambda c: _values_dist(c.values, target))
 
-        chosen = next(_passing(), None)
-        sel_ok = chosen is not None
-        if not sel_ok:
-            chosen = 0
-        values, vs, rs, relres = _full_pair(chosen)
-        crit = _crit(chosen)
+    def _criteria(cands):
+        return _OnFirstRead(lambda j: mep_criterion(
+            mep, registry, [sp.V @ x for sp, x in zip(spaces, cands[j].xs)],
+            variant=opts.criterion))
 
-        if relres <= opts.tol:
-            if sel_ok:
-                try:
-                    # Left residuals cannot undercut the accuracy of the
-                    # converged tuple, so track the achieved right residual.
-                    rtol_eff = max(opts.left_rtol, 10.0 * relres)
-                    ys = []
-                    for i in range(N):
-                        Zi = mep.t_eval(i, values).conj().T
-                        scale = rtol_eff * mep.tolerance_scale(i, values)
-                        ys.append(
-                            linsolve.null_vector(
-                                Zi, scale,
-                                seed=opts.seed + 77 * (len(registry) + 1) + i,
-                            )
-                        )
-                    # the refined tuple is registered only when it still
-                    # meets tol in every factor; it can be (slightly) worse
-                    # than the Ritz tuple.  Residuals are recomputed from the
-                    # complex vectors and values the registry stores.
-                    xs = [v.astype(complex, copy=False) for v in vs]
-                    reg_values, reg_res = values, _residuals(values, xs)[1]
-                    if opts.refine:
-                        refined = tensor_rayleigh(mep, xs, ys)
-                        refined_res = _residuals(refined, xs)[1]
-                        if refined_res <= opts.tol:
-                            reg_values, reg_res = refined, refined_res
-                    mep_register(mep, registry, reg_values, xs, ys,
-                                 residual=reg_res, iteration=outer)
-                    records.append(MepRecord(outer, reg_values, reg_res, crit,
-                                             "converged"))
-                except (DefectiveEigenvalueError,
-                        linsolve.NullVectorError) as exc:
-                    blocked.append(values)
-                    records.append(
-                        MepRecord(outer, values, relres, crit,
-                                  f"rejected: {type(exc).__name__}")
-                    )
-                if len(registry) >= opts.num_pairs:
-                    return MepResult(registry, records, outer, False, blocked)
-            else:
-                # converged in residual yet rejected by the criterion: a
-                # re-found (or defective) eigenvalue; block it so extraction
-                # stops offering it, otherwise the run livelocks here
-                blocked.append(values)
-                records.append(MepRecord(outer, values, relres, crit,
-                                         "rejected: converged duplicate"))
-            # reselect among the remaining candidates
-            crit_vals.clear()
-            cands = _unblocked(c for i, c in enumerate(cands) if i != chosen)
-            if not cands:
-                ts = _fresh_start()
-                continue
-            chosen = next(_passing(), 0)
-            values, vs, rs, relres = _full_pair(chosen)
-        else:
-            records.append(MepRecord(outer, values, relres, crit,
-                                     "expanded" if sel_ok else "no-pass"))
+    def _residuals(values, vs):
+        """Factor residuals at (values, unit vs) and the worst relative one."""
+        rs = [to_dense_matvec(mep, i, values, vs[i]) for i in range(N)]
+        rels = (float(np.linalg.norm(r)) / mep.tolerance_scale(i, values)
+                for i, r in enumerate(rs))
+        return rs, max(rels)
 
-        # restart watches the largest factor space: restarts drop dependent
-        # kept directions, so the factor dimensions need not stay equal.
-        # Keep the chosen candidate and the first passing ones, topped up
-        # with failing ones in target order, mindim directions at most (a
-        # real space takes the Re and Im parts of a complex candidate's
-        # factor vectors); the walk stops once mindim have passed.
-        if max(sp.k for sp in spaces) >= opts.maxdim:
-            passing = list(itertools.islice(_passing(), opts.mindim))
-            failing = [i for i in range(len(cands)) if i not in passing]
-            keep = [chosen] + [j for j in passing + failing if j != chosen]
-            for i in range(N):
-                spaces[i].restart((cands[j].xs[i] for j in keep),
-                                  limit=opts.mindim)
-            records.append(MepRecord(outer, values, relres, crit, "restarted"))
+    def _pair(cand, crit, first):
+        vs = [sp.V @ x for sp, x in zip(spaces, cand.xs)]
+        vs = [v / np.linalg.norm(v) for v in vs]
+        rs, relres = _residuals(cand.values, vs)
+        return _Pick(cand.values, relres, relres <= opts.tol, crit, vs, rs)
 
+    def _register(p, outer):
+        # Left residuals cannot undercut the accuracy of the converged
+        # tuple, so track the achieved right residual.
+        rtol = max(_LEFT_RTOL, 10.0 * p.res)
+        ys = [linsolve.null_vector(
+                  mep.t_eval(i, p.value).conj().T,
+                  rtol * mep.tolerance_scale(i, p.value),
+                  seed=opts.seed + 77 * (len(registry) + 1) + i)
+              for i in range(N)]
+        # the refined tuple is registered only when it still meets tol in
+        # every factor; it can be (slightly) worse than the Ritz tuple.
+        # Residuals are recomputed from the complex vectors and values the
+        # registry stores.
+        xs = [v.astype(complex, copy=False) for v in p.vecs]
+        values = tensor_rayleigh(mep, xs, ys)
+        res = _residuals(values, xs)[1]
+        if not res <= opts.tol:
+            values, res = p.value, _residuals(p.value, xs)[1]
+        mep_register(mep, registry, values, xs, ys, residual=res,
+                     iteration=outer)
+        return values, res
+
+    def _record(outer, values, res, crit, event):
+        values = () if values is None else values
+        records.append(MepRecord(outer, values, res, crit, event))
+
+    outer, truncated = _selection_loop(
+        opts, spaces, ts, registry, blocked,
+        criterion_threshold(opts.eta, opts.criterion), _randn,
+        extract=_extract,
+        is_blocked=lambda c: _mep_blocked(c.values, blocked, _BLOCKED_TOL),
+        criteria=_criteria,
+        no_pass=lambda crits: 0,
+        pair=_pair,
+        register=_register,
         # a complex tuple of a real problem is corrected in complex
         # arithmetic; its real space grows by Re t and Im t (SearchSpace)
-        ts = []
-        for i in range(N):
-            t = _factor_correction(mep.t_eval(i, values), vs[i], rs[i],
-                                   opts.inner_steps, precs[i])
-            if t is None or np.linalg.norm(t) == 0.0:
-                t = _randn(mep.dims[i])
-            ts.append(t)
-
-    return MepResult(registry, records, outer, True, blocked)
+        correct=lambda p: (_factor_correction(
+            mep.t_eval(i, p.value), p.vecs[i], p.rs[i], opts.inner_steps,
+            precs[i]) for i in range(N)),
+        record=_record,
+        basis=lambda c: c.xs,
+    )
+    return MepResult(registry, records, outer, truncated, blocked)
 
 
 def to_dense_matvec(mep, i, values, v):

@@ -29,11 +29,6 @@ __all__ = [
     "GeneralNep",
     "IllConditionedError",
     "dd_weights",
-    "eval",
-    "derivative",
-    "divided_difference",
-    "nep_divided_difference",
-    "condition_number",
     "gen_gyroscopic",
     "gen_random_pep",
     "gen_example_2x2",
@@ -331,34 +326,3 @@ def gen_example_2x2(delta, eps):
     """
     A = np.array([[0.0, eps], [0.0, delta]])
     return PolyProblem([A, -np.eye(2)])
-
-
-# Functional aliases for the method-based interface above.  They exist so a
-# problem can be treated as plain data by code that composes operations
-# (notably the solvers' test harnesses); each simply delegates.
-
-def eval(problem, lam):  # noqa: A001  (module-scoped, mirrors the method)
-    """P(lam) as a matrix; see PolyProblem.eval."""
-    return problem.eval(lam)
-
-
-def derivative(problem, lam):
-    """P'(lam) as a matrix; see PolyProblem.derivative."""
-    return problem.derivative(lam)
-
-
-def divided_difference(problem, lam, theta):
-    """Polynomial divided difference; see PolyProblem.divided_difference."""
-    return problem.divided_difference(lam, theta)
-
-
-def nep_divided_difference(nep, lam, mu):
-    """Quotient/derivative divided difference for a general nonlinear
-    problem; see GeneralNep.divided_difference."""
-    return nep.divided_difference(lam, mu)
-
-
-def condition_number(problem, lam, x, y):
-    """Absolute eigenvalue condition number; see
-    PolyProblem.condition_number."""
-    return problem.condition_number(lam, x, y)

@@ -263,7 +263,8 @@ class TestRandomQep:
         res = jd_solve(p, JDOptions(target=0.0, num_pairs=3, tol=1e-9,
                                     mindim=6, maxdim=12, seed=7))
         assert len(res.records) >= res.outer_iterations
-        known = {"expanded", "converged", "restarted", "no pass"}
+        known = {"expanded", "no-pass", "no_candidates", "converged",
+                 "restarted"}
         for r in res.records:
             tag = r.event.split(":")[0]
             assert tag in known or tag == "rejected"
@@ -632,6 +633,42 @@ class TestNoPassFallback:
         assert nopass
         for r in nopass:
             assert (r.theta, r.criterion) in picks
+
+
+class TestRestartRecords:
+    """A restarted record names the pick the space restarts on, also when
+    that pick was made again after a converged pair in the same iteration:
+    its value and criterion are those of one pair scored in its
+    iteration."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_value_and_criterion_of_one_scored_pair(self, monkeypatch, seed):
+        scored = []  # per iteration, the (theta, criterion) pairs scored
+
+        def extract(space, target, mode="standard"):
+            scored.append(set())
+            return real_extract(space, target, mode)
+
+        def candidate_criteria(problem, registry, V, cands, config=None):
+            crits = real_criteria(problem, registry, V, cands, config)
+            scored[-1].update(zip((complex(c.theta) for c in cands),
+                                  map(float, crits)))
+            return crits
+
+        real_extract = jdsolver.extract_candidates
+        real_criteria = jdsolver.candidate_criteria
+        monkeypatch.setattr(jdsolver, "extract_candidates", extract)
+        monkeypatch.setattr(jdsolver, "candidate_criteria", candidate_criteria)
+        res = jd_solve(gen_random_pep(40, 2, seed=0),
+                       JDOptions(target=0.3, num_pairs=8, tol=1e-9, mindim=6,
+                                 maxdim=12, seed=seed))
+        assert len(res.registry) == 8
+        converged = {r.iteration for r in res.records
+                     if r.event == "converged"}
+        restarted = [r for r in res.records if r.event == "restarted"]
+        assert any(r.iteration in converged for r in restarted)
+        for r in restarted:
+            assert (r.theta, r.criterion) in scored[r.iteration - 1]
 
 
 _PINNED_PEP_SOLVE = """

@@ -397,6 +397,119 @@ class TestSubspaceSolver:
                           "found_iteration"}
         assert len(d["values"]) == 2 and len(d["values"][0]) == 2
 
+    def test_convergence_records_form_a_history(self):
+        m = gen_random_mep((8, 7), seed=2)
+        res = mep_subspace_solve(m, MepOptions(
+            target=(0.0, 0.0), num_pairs=3, tol=1e-9, mindim=3, maxdim=6,
+            max_outer=120))
+        assert len(res.records) >= res.outer_iterations
+        known = {"expanded", "no-pass", "no_candidates", "converged",
+                 "restarted"}
+        for r in res.records:
+            tag = r.event.split(":")[0]
+            assert tag in known or tag == "rejected"
+            assert r.iteration >= 1
+        assert sum(r.event == "converged" for r in res.records) == len(
+            res.registry)
+
+    def test_restart_records_carry_the_pick_criterion(self, monkeypatch):
+        # a restart after a converged pair names the pick made again: its
+        # tuple and criterion are those of one pair scored in its iteration
+        spaces, cands = [], []
+        scored = []  # per iteration, the (values, criterion) pairs scored
+
+        class SpySpace(mepmod.SearchSpace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spaces.append(self)
+
+        def projected_candidates(small):
+            scored.append(set())
+            cands[:] = real_candidates(small)
+            return list(cands)
+
+        def criterion(mep, registry, vs, variant="new"):
+            value = mep_criterion(mep, registry, vs, variant)
+            (c,) = [c for c in cands
+                    if all(np.allclose(sp.V @ x, v, rtol=1e-12, atol=0)
+                           for sp, x, v in zip(spaces, c.xs, vs))]
+            scored[-1].add((c.values, value))
+            return value
+
+        real_candidates = mepmod._projected_candidates
+        monkeypatch.setattr(mepmod, "SearchSpace", SpySpace)
+        monkeypatch.setattr(mepmod, "_projected_candidates",
+                            projected_candidates)
+        monkeypatch.setattr(mepmod, "mep_criterion", criterion)
+        res = mep_subspace_solve(gen_random_mep((8, 7), seed=26), MepOptions(
+            target=(0.0, 0.0), num_pairs=4, tol=1e-9, mindim=4, maxdim=7,
+            max_outer=120, seed=1))
+        assert len(res.registry) == 4
+        converged = {r.iteration for r in res.records
+                     if r.event == "converged"}
+        restarted = [r for r in res.records if r.event == "restarted"]
+        assert any(r.iteration in converged for r in restarted)
+        for r in restarted:
+            assert (r.values, r.criterion) in scored[r.iteration - 1]
+
+
+class TestNoPassFallback:
+    """With no candidate passing, the first pick and the pick made again
+    after a rejection both take the nearest candidate, index 0."""
+
+    def test_nearest_candidate_taken(self, monkeypatch):
+        target = (0.0, 0.0)
+        state = {"cands": [], "blocked": [], "crits": []}
+        picks = []  # (picked tuple, unblocked tuples, their criteria)
+
+        def projected_candidates(small):
+            state["cands"] = sorted(real_candidates(small),
+                                    key=lambda c: dist(c.values, target))
+            return list(state["cands"])
+
+        def mep_blocked(values, blocked, tol):
+            state["blocked"] = blocked
+            return real_blocked(values, blocked, tol)
+
+        def criterion(mep, registry, vs, variant="new"):
+            # never below eta, and rarely smallest at index 0
+            v = vs[0] / np.linalg.norm(vs[0])
+            state["crits"].append(1.0 + abs(v[0]))
+            return state["crits"][-1]
+
+        def matvec(mep, i, values, v):
+            if i == 0:  # a pick's residual: one call per factor
+                unblocked = [c.values for c in state["cands"]
+                             if not real_blocked(c.values, state["blocked"],
+                                                 1e-6)]
+                picks.append((values, unblocked, state["crits"]))
+                state["crits"] = []
+            return real_matvec(mep, i, values, v)
+
+        real_candidates = mepmod._projected_candidates
+        real_blocked = mepmod._mep_blocked
+        real_matvec = mepmod.to_dense_matvec
+        monkeypatch.setattr(mepmod, "_projected_candidates",
+                            projected_candidates)
+        monkeypatch.setattr(mepmod, "_mep_blocked", mep_blocked)
+        monkeypatch.setattr(mepmod, "mep_criterion", criterion)
+        monkeypatch.setattr(mepmod, "to_dense_matvec", matvec)
+        res = mep_subspace_solve(gen_random_mep((6, 6), seed=27), MepOptions(
+            target=target, num_pairs=1, tol=1e-9, mindim=3, maxdim=6,
+            max_outer=40, seed=5))
+        assert not res.registry and res.truncated
+        events = [r.event for r in res.records]
+        assert "expanded" not in events and "converged" not in events
+        # a converged pick is rejected and the pick is made again
+        assert "rejected: converged duplicate" in events
+        assert len(picks) > res.outer_iterations
+        # every pick, first or made again, is the nearest unblocked
+        # candidate, whose criteria were all read in target order
+        for values, unblocked, crits in picks:
+            assert len(crits) == len(unblocked)
+            assert values == unblocked[0]
+        assert any(np.argmin(crits) != 0 for _, _, crits in picks)
+
 
 class TestProjectedExtraction:
     """The solver's one-sided extraction against the two-sided oracle."""

@@ -10,7 +10,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigensel import problems
 from eigensel.problems import (
     GeneralNep,
     IllConditionedError,
@@ -261,18 +260,3 @@ class TestGenerators:
     def test_constructor_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             PolyProblem([np.eye(2), np.eye(3)])
-
-
-def test_module_level_aliases_delegate():
-    p = random_problem(3, 2, seed=9)
-    lam, theta = 0.4, 1.7 - 0.3j
-    np.testing.assert_allclose(problems.eval(p, lam), p.eval(lam), atol=0)
-    np.testing.assert_allclose(problems.derivative(p, lam), p.derivative(lam),
-                               atol=0)
-    np.testing.assert_allclose(problems.divided_difference(p, lam, theta),
-                               p.divided_difference(lam, theta), atol=0)
-    f = p.to_general_nep()
-    np.testing.assert_allclose(problems.nep_divided_difference(f, lam, theta),
-                               f.divided_difference(lam, theta), atol=0)
-    x = np.ones(3) / np.sqrt(3)
-    assert problems.condition_number(p, lam, x, x) == p.condition_number(lam, x, x)
