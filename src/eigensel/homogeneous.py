@@ -263,10 +263,15 @@ def hom_condition_number(problem, p, x, y):
     """
     x = np.asarray(x) / np.linalg.norm(x)
     y = np.asarray(y) / np.linalg.norm(y)
+    return _hom_condition(problem, p, abs(np.vdot(y, hom_D(problem, p) @ x)))
+
+
+def _hom_condition(problem, p, den):
+    """hom_condition_number from its denominator den = |y* DP(alpha,beta) x|
+    for unit x and y, for a caller that has formed it already."""
     m = problem.degree
     a, b = abs(p.alpha), abs(p.beta)
     num = float(sum(problem.norms2[i] * a**i * b ** (m - i) for i in range(m + 1)))
-    den = abs(np.vdot(y, hom_D(problem, p) @ x))
     if den == 0.0:
         warnings.warn("y* DP x = 0: eigenvalue condition number is infinite")
         return np.inf

@@ -22,9 +22,12 @@ two-sided QZ of the Delta pencil with left and right factor vectors and
 residual self-checks.  mep_subspace_solve runs jdsolver's selection loop
 with one search space per factor and the sandwich criterion steering it;
 its projected extraction is one-sided, a standard eigenproblem of
-Delta_0^{-1} sum_j c_j Delta_j with factor vectors split off only for the
-candidates the selection walk reads.  A real problem at a real target runs
-the loop in float64.
+Delta_0^{-1} sum_j c_j Delta_j whose tuples are put in target order as
+arrays.  Factor vectors are split off only for the candidates the
+selection walk reads, as fibers of the projected eigenvector: at a simple
+tuple it is an exact tensor product, so no rank-one SVD is needed.  A real
+problem at a real target runs the loop in float64 and registers its real
+tuples real.
 """
 
 from __future__ import annotations
@@ -133,7 +136,12 @@ class _LinearMepBase:
                     raise ValueError(f"factor {i}: matrices must be square and "
                                      f"share one size, got {M.shape} vs {n}")
         self.dims = tuple(row[0].shape[0] for row in self.ops)
-        self._norms1 = [[norm1(M) for M in row] for row in self.ops]
+
+    @cached_property
+    def _norms1(self):
+        """1-norms of every matrix, per factor; computed on first use, so
+        the projected problem of a solver iteration never pays for them."""
+        return [[norm1(M) for M in row] for row in self.ops]
 
     def a_mat(self, i):
         return self.ops[i][0]
@@ -309,9 +317,34 @@ def _weighted_sum(deltas, real=False):
     return sum(c * D for c, D in zip(weights, deltas[1:]))
 
 
+def _fiber_factors(z, dims):
+    """Factor vectors of a decomposable z as its fibers through its largest
+    entry.
+
+    For z = x_1 (x) x_2 [(x) x_3] every mode-i fiber of the tensor is a
+    multiple of x_i.  The one through the largest-magnitude entry has norm
+    at least ||z|| / sqrt(prod dims), so normalizing it keeps the error at
+    rounding level.  Unlike _rank1_factors there is no SVD, no
+    decomposability measure and no phase fix; the factors are unit vectors
+    of arbitrary relative phase.
+    """
+    T = z.reshape(dims)
+    sub = np.unravel_index(int(np.argmax(np.abs(z))), dims)
+    factors = []
+    for i in range(len(dims)):
+        f = T[sub[:i] + (slice(None),) + sub[i + 1:]]
+        factors.append(f / np.linalg.norm(f))
+    return factors
+
+
 @dataclass
 class _RitzCandidate:
-    """Projected tuple whose factor vectors are split off z on first read."""
+    """Projected tuple whose factor vectors are read off z on first read.
+
+    z is the projected Delta-pencil eigenvector, an exact tensor product at
+    a simple tuple, so xs are its fibers (_fiber_factors), not best rank-one
+    approximations.
+    """
 
     values: tuple
     z: np.ndarray
@@ -319,7 +352,7 @@ class _RitzCandidate:
 
     @cached_property
     def xs(self):
-        return _rank1_factors(self.z, self.dims)[0]
+        return _fiber_factors(self.z, self.dims)
 
 
 class _OnFirstRead(dict):
@@ -334,16 +367,19 @@ class _OnFirstRead(dict):
         return value
 
 
-def _projected_candidates(small):
-    """Ritz tuples of a projected MEP from a one-sided standard eigensolve.
+def _projected_candidates(small, target):
+    """Ritz tuples of a projected MEP from a one-sided standard eigensolve,
+    finite ones only, nearest to target first.
 
     Solves Delta_0^{-1} sum_j c_j Delta_j z = theta z for right vectors only
     and reads every tuple at once as the least-squares Rayleigh values
     (Delta_0 Z)* (Delta_j Z) / ||Delta_0 Z||^2.  Complex Delta's take the
     weights of dense_solve.  Real ones take real weights and a real
     eigensolve: a real theta gives a real z and a real tuple, and the
-    tuples of a complex-conjugate pair of thetas are both kept.  Non-finite
-    tuples are dropped.  An exactly singular Delta_0 raises LinAlgError.
+    tuples of a complex-conjugate pair of thetas are both kept.  The
+    finiteness test and the Euclidean distances to target run on all
+    tuples at once, and a stable argsort orders them, so ties keep the
+    eigensolver's order.  An exactly singular Delta_0 raises LinAlgError.
     """
     deltas = delta_operators(small)
     D0 = deltas[0]
@@ -353,13 +389,16 @@ def _projected_candidates(small):
     denom = np.einsum("ij,ij->j", D0Z.conj(), D0Z).real
     vals = np.array([np.einsum("ij,ij->j", D0Z.conj(), D @ Z)
                      for D in deltas[1:]]) / denom
+    on_axis = (theta.imag == 0) & real
+    vals[:, on_axis] = vals[:, on_axis].real
+    finite = np.flatnonzero(np.isfinite(vals).all(axis=0))
+    shift = vals[:, finite] - np.array(target, dtype=complex)[:, None]
+    dist = np.sqrt((np.abs(shift) ** 2).sum(axis=0))
+    rows = vals.T.tolist()
     out = []
-    for k in np.flatnonzero(np.isfinite(vals).all(axis=0)):
-        z, v = Z[:, k], vals[:, k]
-        if real and theta[k].imag == 0:
-            z, v = z.real, v.real
-        out.append(_RitzCandidate(tuple(complex(x) for x in v), z,
-                                  small.dims))
+    for k in finite[np.argsort(dist, kind="stable")]:
+        z = Z[:, k].real if on_axis[k] else Z[:, k]
+        out.append(_RitzCandidate(tuple(rows[k]), z, small.dims))
     return out
 
 
@@ -806,10 +845,11 @@ def _factor_correction(Tmat, v, r, steps, M):
     if M is not None:
         q = M.solve(v)
         vq = np.vdot(v, q)
+        oblique = abs(vq) > 1e-14 * np.linalg.norm(q)
 
         def psolve(z):
             w = M.solve(z)
-            if abs(vq) > 1e-14 * np.linalg.norm(q):
+            if oblique:
                 w = w - q * (np.vdot(v, w) / vq)
             return w
 
@@ -833,7 +873,10 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     are computed as adjoint null vectors, the parameter values are refined
     by the two-sided tensor Rayleigh system (kept only if every factor
     residual still meets tol at the refined values), and the triplet is
-    registered with the residual of the values it stores.
+    registered with the residual of the values it stores.  For a real
+    problem and a real pick those are the real parts of the refined values:
+    the left vectors are complex, and their rounding would otherwise leave
+    imaginary parts on a real tuple.
     Values whose registration fails land on the blocked list.
 
     The arithmetic follows the input.  When every factor matrix has a zero
@@ -878,10 +921,9 @@ def mep_subspace_solve(mep, options=None, v0s=None):
         """Ritz tuples of the projected small MEP in target order."""
         small = _LinearMepBase([tuple(sp.H) for sp in spaces])
         try:
-            cands = _projected_candidates(small)
+            return _projected_candidates(small, target)
         except np.linalg.LinAlgError:
             return []
-        return sorted(cands, key=lambda c: _values_dist(c.values, target))
 
     def _criteria(cands):
         return _OnFirstRead(lambda j: mep_criterion(
@@ -916,6 +958,10 @@ def mep_subspace_solve(mep, options=None, v0s=None):
         # registry stores.
         xs = [v.astype(complex, copy=False) for v in p.vecs]
         values = tensor_rayleigh(mep, xs, ys)
+        if mep.dtype.kind == "f" and not any(v.imag for v in p.value):
+            # complex left vectors leave rounding-level imaginary parts on
+            # the refinement of a real tuple of a real problem
+            values = tuple(complex(v.real) for v in values)
         res = _residuals(values, xs)[1]
         if not res <= opts.tol:
             values, res = p.value, _residuals(p.value, xs)[1]
@@ -931,7 +977,8 @@ def mep_subspace_solve(mep, options=None, v0s=None):
         opts, spaces, ts, registry, blocked,
         criterion_threshold(opts.eta, opts.criterion), _randn,
         extract=_extract,
-        is_blocked=lambda c: _mep_blocked(c.values, blocked, _BLOCKED_TOL),
+        is_blocked=lambda c: bool(blocked) and _mep_blocked(
+            c.values, blocked, _BLOCKED_TOL),
         criteria=_criteria,
         no_pass=lambda crits: 0,
         pair=_pair,

@@ -223,9 +223,13 @@ class PolyProblem:
         """
         x = np.asarray(x) / np.linalg.norm(x)
         y = np.asarray(y) / np.linalg.norm(y)
+        return self._condition(lam, abs(np.vdot(y, self.derivative(lam) @ x)))
+
+    def _condition(self, lam, den):
+        """condition_number from its denominator den = |y* P'(lam) x| for
+        unit x and y, for a caller that has formed it already."""
         t = abs(lam)
         num = float(sum(self.norms2[i] * t**i for i in range(self.degree + 1)))
-        den = abs(np.vdot(y, self.derivative(lam) @ x))
         if den <= 1e-300 * max(1.0, num):
             raise IllConditionedError(
                 f"y* P'(lam) x = {den:.3e} at lam = {lam}: condition number "

@@ -296,12 +296,13 @@ def register(problem, registry, theta, x, y, config=None, residual=math.nan,
             "multiple or defective and cannot anchor the selection criterion"
         )
     # condition numbers only for survivors; the defective branch above
-    # would otherwise warn or raise twice for the same root cause
+    # would otherwise warn or raise twice for the same root cause.  They
+    # reuse denom, so F'(lam) (or DP) is formed once per registration.
     cond = math.nan
     if config.mode == "homogeneous":
-        cond = hom.hom_condition_number(problem, point, x, y)
-    elif hasattr(problem, "condition_number"):
-        cond = problem.condition_number(value, x, y)
+        cond = hom._hom_condition(problem, point, abs(denom))
+    elif hasattr(problem, "_condition"):
+        cond = problem._condition(value, abs(denom))
     triplet = EigenTriplet(
         value=value,
         right=x,

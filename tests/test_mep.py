@@ -423,9 +423,9 @@ class TestSubspaceSolver:
                 super().__init__(*args, **kwargs)
                 spaces.append(self)
 
-        def projected_candidates(small):
+        def projected_candidates(small, target):
             scored.append(set())
-            cands[:] = real_candidates(small)
+            cands[:] = real_candidates(small, target)
             return list(cands)
 
         def criterion(mep, registry, vs, variant="new"):
@@ -462,8 +462,8 @@ class TestNoPassFallback:
         state = {"cands": [], "blocked": [], "crits": []}
         picks = []  # (picked tuple, unblocked tuples, their criteria)
 
-        def projected_candidates(small):
-            state["cands"] = sorted(real_candidates(small),
+        def projected_candidates(small, target):
+            state["cands"] = sorted(real_candidates(small, target),
                                     key=lambda c: dist(c.values, target))
             return list(state["cands"])
 
@@ -517,7 +517,7 @@ class TestProjectedExtraction:
     @staticmethod
     def _matched(m):
         # pair every candidate with the oracle tuple nearest to it
-        cands = mepmod._projected_candidates(m)
+        cands = mepmod._projected_candidates(m, (0.0,) * m.nparams)
         oracle = dense_solve(m)
         assert len(cands) == len(oracle)
         pairs = []
@@ -542,18 +542,64 @@ class TestProjectedExtraction:
 
     def test_factors_computed_only_when_read(self, monkeypatch):
         calls = []
-        rank1 = mepmod._rank1_factors
+        fibers = mepmod._fiber_factors
 
         def counting(z, dims):
             calls.append(dims)
-            return rank1(z, dims)
+            return fibers(z, dims)
 
-        monkeypatch.setattr(mepmod, "_rank1_factors", counting)
-        cands = mepmod._projected_candidates(gen_random_mep((3, 4), seed=42))
+        monkeypatch.setattr(mepmod, "_fiber_factors", counting)
+        cands = mepmod._projected_candidates(gen_random_mep((3, 4), seed=42),
+                                             (0.0, 0.0))
         assert calls == []
         first = cands[0].xs
         assert cands[0].xs is first
         assert calls == [(3, 4)]
+
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 4, 3), (2, 3, 4)])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_fibers_parallel_to_rank1_factors(self, dims, real):
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            xs = [rng.standard_normal(n) if real else
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                  for n in dims]
+            z = xs[0]
+            for x in xs[1:]:
+                z = np.kron(z, x)
+            z = z * (rng.standard_normal() if real else
+                     rng.standard_normal() + 1j * rng.standard_normal())
+            fibers = mepmod._fiber_factors(z, dims)
+            for f, g, n in zip(fibers, mepmod._rank1_factors(z, dims)[0],
+                               dims):
+                assert f.shape == (n,) and np.isrealobj(f) == real
+                assert abs(np.linalg.norm(f) - 1.0) <= 1e-14
+                assert abs(np.vdot(f, g)) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 4, 3)])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_order_is_sorting_by_distance(self, dims, real):
+        m = gen_random_mep(dims, seed=45)
+        if real:
+            m = mepmod._LinearMepBase([tuple(M.real for M in row)
+                                       for row in m.ops])
+            assert m.dtype == np.float64
+        k = m.nparams
+        for target in [(0.0,) * k, (0.4,) * k,
+                       tuple(complex(0.3 * j, -0.2) for j in range(k))]:
+            cands = mepmod._projected_candidates(m, target)
+            assert len(cands) == len(dense_solve(m))
+            expected = sorted(cands, key=lambda c: dist(c.values, target))
+            assert [id(c) for c in cands] == [id(c) for c in expected]
+
+    def test_norms_computed_on_first_use(self):
+        m = gen_random_mep((3, 4), seed=46)
+        assert "_norms1" not in vars(m)
+        scale = mepmod.jacobian_scale(m)
+        assert "_norms1" in vars(m)
+        assert scale == math.prod(
+            max(np.abs(P).sum(axis=0).max() for P in m.param_mats(i))
+            for i in range(2))
 
     def test_singular_delta0_gives_no_candidates(self):
         # B_i = C_i in both factors makes Delta_0 = B1 (x) B2 - B1 (x) B2
@@ -562,7 +608,7 @@ class TestProjectedExtraction:
         A1, B1, A2, B2 = (rng.standard_normal((4, 4)) for _ in range(4))
         m = LinearMep2(A1, B1, B1, A2, B2, B2)
         with pytest.raises(np.linalg.LinAlgError):
-            mepmod._projected_candidates(m)
+            mepmod._projected_candidates(m, (0.0, 0.0))
         opts = MepOptions(target=(0.0, 0.0), num_pairs=1, mindim=2, maxdim=3,
                           max_outer=5, seed=0)
         res = mep_subspace_solve(m, opts)
@@ -632,6 +678,21 @@ class TestRealArithmetic:
             MepOptions(target=(0.0, 0.0), num_pairs=2, tol=1e-9, mindim=3,
                        maxdim=5, max_outer=80, seed=0))
         assert eigs == buffers == {np.dtype(np.complex128)}
+
+    def test_real_tuples_registered_real(self):
+        # the refinement solves with complex left vectors, whose rounding
+        # puts imaginary parts of up to 7e-13 on these real tuples unless
+        # only the real parts are registered
+        m = gen_fourpoint_bvp(100)
+        opts = MepOptions(target=(0, 0, 0), num_pairs=9, tol=1e-10,
+                          mindim=3, maxdim=4, seed=1)
+        res = mep_subspace_solve(m, opts)
+        assert len(res.registry) == 9
+        for t in res.registry:
+            assert all(v.imag == 0.0 for v in t.values)
+            rel = worst_factor_residual(m, t)
+            assert rel <= opts.tol
+            np.testing.assert_allclose(t.residual, rel, rtol=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_complex_tuples_of_a_real_problem(self, seed):

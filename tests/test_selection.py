@@ -285,6 +285,30 @@ class TestRegister:
         val = criterion_value(p, registry, CandidatePair(0.5, e1), cfg)
         assert np.isfinite(val)
 
+    @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
+    def test_one_derivative_and_the_condition_number(self, mode, monkeypatch):
+        # cond comes from the denominator register already formed: one
+        # P'(lam) or DP per registration, the public functions' value
+        p = gen_random_pep(5, 2, seed=9)
+        o = next(x for x in oracle_all_eigenpairs(p)
+                 if x.ok and np.isfinite(x.value))
+        cfg = SelectionConfig(mode=mode)
+        calls = []
+        derivative, hom_D = PolyProblem.derivative, hom.hom_D
+        monkeypatch.setattr(PolyProblem, "derivative", lambda self, lam: (
+            calls.append(lam), derivative(self, lam))[1])
+        monkeypatch.setattr(hom, "hom_D", lambda problem, pt: (
+            calls.append(pt), hom_D(problem, pt))[1])
+        theta = o.point if mode == "homogeneous" else o.value
+        t = register(p, [], theta, 2.0 * o.x, 1j * o.y, config=cfg)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        if mode == "homogeneous":
+            ref = hom.hom_condition_number(p, t.point, t.right, t.left)
+        else:
+            ref = p.condition_number(t.value, t.right, t.left)
+        np.testing.assert_allclose(t.cond, ref, rtol=1e-12)
+
     def test_homogeneous_self_score_one(self):
         p = gen_random_pep(5, 2, seed=8)
         o = next(x for x in oracle_all_eigenpairs(p)
