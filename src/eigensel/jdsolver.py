@@ -161,6 +161,8 @@ class JDOptions:
             raise ValueError("num_pairs must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be positive")
+        if self.inner_steps < 1:
+            raise ValueError("inner_steps must be positive")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
         if not 0.0 < self.eta < 1.0:

@@ -793,6 +793,8 @@ class MepOptions:
             )
         if self.num_pairs < 1 or self.max_outer < 1:
             raise ValueError("num_pairs and max_outer must be positive")
+        if self.inner_steps < 1:
+            raise ValueError("inner_steps must be positive")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
         if not 0.0 < self.eta < 1.0:
@@ -879,6 +881,13 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     imaginary parts on a real tuple.
     Values whose registration fails land on the blocked list.
 
+    v0s gives one start vector per factor space, used as given.  By
+    default factor i starts from LU(T_i(target))^-1 rho_i for a seeded
+    random rho_i: one inverse-iteration step at the target, through the
+    preconditioner that the corrections use.  A raw random start puts the
+    first Ritz tuple far from the target, and the corrections take many
+    outer iterations to bring it back.
+
     The arithmetic follows the input.  When every factor matrix has a zero
     imaginary part and the target is real, the search spaces, projected
     Delta's and their eigensolve are float64, with real weights c_j.  Real
@@ -899,7 +908,7 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     target = tuple(complex(t) for t in opts.target)
     real = mep.dtype.kind == "f" and not any(t.imag for t in target)
 
-    # LU of T_i(target) preconditions both correction and null-vector solves
+    # LU of T_i(target) gives the default start and preconditions corrections
     precs = [linsolve.LuPreconditioner(mep.t_eval(i, target)) for i in range(N)]
     spaces = [SearchSpace([mep.a_mat(i)] + list(mep.param_mats(i)), rng,
                           dtype=float if real else complex)
@@ -910,8 +919,8 @@ def mep_subspace_solve(mep, options=None, v0s=None):
             return rng.standard_normal(n)
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    ts = [_randn(mep.dims[i]) if v0s is None else np.asarray(v0s[i])
-          for i in range(N)]
+    ts = [precs[i].solve(_randn(mep.dims[i])) if v0s is None
+          else np.asarray(v0s[i]) for i in range(N)]
 
     registry = []
     records = []

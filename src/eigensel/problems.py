@@ -95,13 +95,14 @@ def norm2_estimate(M, tol=1e-3, maxit=100):
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    MH = M.conj().T
     sigma = 0.0
     for _ in range(maxit):
         w = M @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
-        u = M.conj().T @ w
+        u = MH @ w
         nu = np.linalg.norm(u)
         if nu == 0.0:
             return float(nw)

@@ -352,6 +352,16 @@ class TestReportAndErrors:
         assert rc == 5
         assert "error:" in capsys.readouterr().err
 
+    def test_invalid_inner_steps_exits_5(self, tmp_path, capsys):
+        manifest = mmio.save_pep(str(tmp_path / "prob"), diag_qep(),
+                                 "diag_qep", {})
+        rc = cli.main(["solve", "--problem", manifest,
+                       "--out", str(tmp_path / "r"), "--target", "0", "0",
+                       "--num-pairs", "4", "--mindim", "1", "--maxdim", "2",
+                       "--inner-steps", "0"])
+        assert rc == cli.EXIT_IO
+        assert "error: inner_steps must be positive" in capsys.readouterr().err
+
     def test_foreign_json_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
         bad.write_text('{"format": "other-v0"}')

@@ -177,6 +177,13 @@ class TestOptions:
         with pytest.raises(ValueError):
             JDOptions(extraction="harmonic").validate(30)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_inner_steps_positive(self, steps):
+        # 0 would expand by the raw residual (a random search), and a
+        # negative count would fail inside gmres
+        with pytest.raises(ValueError, match="inner_steps must be positive"):
+            JDOptions(inner_steps=steps).validate(30)
+
 
 class TestDiagonalQep:
     def test_all_four_including_shared_eigenvector_pair(self):

@@ -334,6 +334,13 @@ class TestSubspaceSolver:
                        criterion="old").validate(m)
         MepOptions(target=(0, 0), mindim=3, maxdim=5).validate(m)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_inner_steps_positive(self, steps):
+        m = gen_random_mep((5, 7), seed=24)
+        with pytest.raises(ValueError, match="inner_steps must be positive"):
+            MepOptions(target=(0, 0), mindim=3, maxdim=5,
+                       inner_steps=steps).validate(m)
+
     def test_decoupled_problem_distinct_tuples(self):
         # T_1 depends only on lam, T_2 only on mu: eigenvalues form a
         # cartesian product, so duplicates in a single coordinate are
@@ -451,6 +458,84 @@ class TestSubspaceSolver:
         assert any(r.iteration in converged for r in restarted)
         for r in restarted:
             assert (r.values, r.criterion) in scored[r.iteration - 1]
+
+
+class TestInverseIterationStart:
+    """Without v0s each factor space starts from LU(T_i(target))^-1 times
+    a seeded random vector: one inverse-iteration step at the target."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_pair_found_early(self, seed):
+        # a raw random start puts the first Ritz tuple far from the target;
+        # from it the first pair converged at iteration 15-20 on these seeds
+        res = mep_subspace_solve(gen_fourpoint_bvp(20), MepOptions(
+            target=(0, 0, 0), num_pairs=3, tol=1e-10, mindim=3, maxdim=4,
+            seed=seed))
+        assert len(res.registry) == 3
+        first = next(r.iteration for r in res.records
+                     if r.event == "converged")
+        assert first <= 10
+
+    @staticmethod
+    def _spied_solve(monkeypatch, v0s=None):
+        # solves per preconditioner, and those made before the first
+        # extraction, and the first vector appended to each space
+        precs, starts, before = [], [], []
+
+        class SpyLu(mepmod.linsolve.LuPreconditioner):
+            def __init__(self, A):
+                super().__init__(A)
+                self.solves = 0
+                precs.append(self)
+
+            def solve(self, b, adjoint=False):
+                self.solves += 1
+                return super().solve(b, adjoint)
+
+        class SpySpace(mepmod.SearchSpace):
+            def append(self, t, fill=True):
+                if self.k == 0:
+                    starts.append(t)
+                return super().append(t, fill)
+
+        def projected_candidates(small, target):
+            if not before:
+                before.extend(p.solves for p in precs)
+            return real_candidates(small, target)
+
+        real_candidates = mepmod._projected_candidates
+        monkeypatch.setattr(mepmod.linsolve, "LuPreconditioner", SpyLu)
+        monkeypatch.setattr(mepmod, "SearchSpace", SpySpace)
+        monkeypatch.setattr(mepmod, "_projected_candidates",
+                            projected_candidates)
+        m = gen_random_mep((6, 7), seed=30)
+        mep_subspace_solve(m, MepOptions(
+            target=(0.0, 0.0), num_pairs=1, tol=1e-9, mindim=3, maxdim=5,
+            max_outer=3, seed=3), v0s=v0s)
+        return m, precs, starts, before
+
+    def test_default_start_solves_each_factor_once(self, monkeypatch):
+        m, precs, starts, before = self._spied_solve(monkeypatch)
+        assert len(precs) == m.nfactors
+        assert before == [1] * m.nfactors
+        # the start is the solve of the first random draw
+        rng = np.random.default_rng(3)
+        for i, t in enumerate(starts):
+            rho = rng.standard_normal(m.dims[i]) + 1j * rng.standard_normal(
+                m.dims[i])
+            np.testing.assert_allclose(
+                mepmod.to_dense_matvec(m, i, (0.0, 0.0), t), rho,
+                rtol=1e-10, atol=1e-10 * np.linalg.norm(rho))
+
+    def test_explicit_start_used_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        v0s = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+               for n in (6, 7)]
+        _, _, starts, before = self._spied_solve(monkeypatch, [
+            v.copy() for v in v0s])
+        assert before == [0, 0]
+        for t, v in zip(starts, v0s):
+            np.testing.assert_array_equal(t, v)
 
 
 class TestNoPassFallback:
@@ -643,7 +728,7 @@ class TestRealArithmetic:
 
     @staticmethod
     def _spied_solve(monkeypatch, m, opts):
-        eig_dtypes, spaces = [], []
+        eig_dtypes, spaces, starts = [], [], []
         eig = np.linalg.eig
 
         def spy_eig(a):
@@ -655,29 +740,34 @@ class TestRealArithmetic:
                 super().__init__(*args, **kwargs)
                 spaces.append(self)
 
+            def append(self, t, fill=True):
+                if self.k == 0:
+                    starts.append(np.asarray(t).dtype)
+                return super().append(t, fill)
+
         monkeypatch.setattr(np.linalg, "eig", spy_eig)
         monkeypatch.setattr(mepmod, "SearchSpace", SpySpace)
         res = mep_subspace_solve(m, opts)
         buffers = {a.dtype for s in spaces for a in [s.V] + s.W + s.H}
-        return res, set(eig_dtypes), buffers
+        return res, set(eig_dtypes), buffers, set(starts)
 
     def test_dtype_follows_the_input(self, monkeypatch):
         bvp = gen_fourpoint_bvp(12)
         assert bvp.dtype == np.float64
-        res, eigs, buffers = self._spied_solve(
+        res, eigs, buffers, starts = self._spied_solve(
             monkeypatch, bvp,
             MepOptions(target=(0.0, 0.0, 0.0), num_pairs=3, tol=1e-10,
                        mindim=3, maxdim=5, max_outer=80, seed=0))
         assert len(res.registry) == 3
-        assert eigs == buffers == {np.dtype(np.float64)}
+        assert eigs == buffers == starts == {np.dtype(np.float64)}
 
         rand = gen_random_mep((5, 6), seed=0)
         assert rand.dtype == np.complex128
-        res, eigs, buffers = self._spied_solve(
+        res, eigs, buffers, starts = self._spied_solve(
             monkeypatch, rand,
             MepOptions(target=(0.0, 0.0), num_pairs=2, tol=1e-9, mindim=3,
                        maxdim=5, max_outer=80, seed=0))
-        assert eigs == buffers == {np.dtype(np.complex128)}
+        assert eigs == buffers == starts == {np.dtype(np.complex128)}
 
     def test_real_tuples_registered_real(self):
         # the refinement solves with complex left vectors, whose rounding

@@ -223,6 +223,38 @@ class TestNorms:
         est = norm2_estimate(A, tol=1e-6)
         np.testing.assert_allclose(est, np.linalg.norm(A, 2), rtol=1e-3)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_norm2_estimate_matches_reference_loop(self, sparse):
+        # the reference forms M^H on every step; the estimate forms it once
+        def reference(M, tol=1e-3, maxit=100):
+            rng = np.random.default_rng(0)
+            v = rng.standard_normal(M.shape[1]) + 1j * rng.standard_normal(
+                M.shape[1])
+            v /= np.linalg.norm(v)
+            sigma = 0.0
+            for _ in range(maxit):
+                w = M @ v
+                nw = np.linalg.norm(w)
+                if nw == 0.0:
+                    return 0.0
+                u = M.conj().T @ w
+                nu = np.linalg.norm(u)
+                if nu == 0.0:
+                    return float(nw)
+                v = u / nu
+                sigma_new = float(np.sqrt(nu))
+                if abs(sigma_new - sigma) <= tol * sigma_new:
+                    return sigma_new
+                sigma = sigma_new
+            return sigma
+
+        mats = (gen_gyroscopic(60, seed=4).coeffs if sparse
+                else gen_random_pep(40, 2, seed=4).coeffs)
+        assert all(sp.issparse(A) == sparse for A in mats)
+        for A in mats:
+            for tol in (1e-3, 1e-8):
+                assert norm2_estimate(A, tol=tol) == reference(A, tol=tol)
+
     def test_tolerance_scale_formula(self):
         p = random_problem(3, 2, seed=8)
         t = 2.5
