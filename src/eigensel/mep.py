@@ -11,11 +11,12 @@ eigenvectors z = x_1 (x) x_2 [(x) x_3].
 
 Selection transfers verbatim: left/right eigenvector tensors of distinct
 eigenvalues are orthogonal in the divided-difference sandwich, a determinant
-of per-factor scalar products whose rows annihilate the coordinate
-difference vector because they telescope to y_i* (T_i(p) - T_i(q)) x_i = 0.
-For coincident points the same determinant is the parameter Jacobian
-det [y_i* dT_i/dlam_j x_i], nonzero exactly at simple eigenvalues, so the
-normalized sandwich plays the role of the selection criterion.
+of per-factor scalar products y_i* T_i[p, q]_j x_i whose rows telescope to
+y_i* (T_i(p) - T_i(q)) x_i = 0.  With linear dependence every block
+T_i[p, q]_j is the constant -P_ij; at coincident points the determinant is
+the parameter Jacobian det [y_i* dT_i/dlam_j x_i], nonzero exactly at simple
+eigenvalues, so the normalized sandwich plays the role of the selection
+criterion.
 
 dense_solve is the brute-force oracle on the full tensor space: a
 two-sided QZ of the Delta pencil with left and right factor vectors and
@@ -32,7 +33,6 @@ tuples real.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -61,30 +61,22 @@ __all__ = [
     "MepRecord",
     "MepResult",
     "MepOraclePair",
-    "OperatorDeterminant",
     "delta_operators",
     "dense_solve",
     "dense_solve_2p",
     "dense_solve_3p",
-    "dd_operator",
     "dd_sandwich",
     "jacobian_scale",
     "mep_criterion",
-    "mep_passes",
     "criterion_threshold",
     "mep_register",
     "tensor_rayleigh",
     "mep_subspace_solve",
     "gen_random_mep",
     "gen_fourpoint_bvp",
-    "fourpoint_grid",
     "cheb",
     "oscillation_index",
 ]
-
-# relative coordinate distance below which a divided difference switches to
-# the partial derivative
-COINCIDENCE_TOL = 1e-8
 
 
 def _zero_imag(M):
@@ -159,7 +151,7 @@ class _LinearMepBase:
             out = out - val * self.ops[i][1 + j]
         return out
 
-    def t_partial(self, i, j, values=None):
+    def t_partial(self, i, j):
         """dT_i/dlam_j, constant for linear parameter dependence."""
         return -self.ops[i][1 + j]
 
@@ -495,129 +487,18 @@ def dense_solve_3p(mep, cap=None, residual_rtol=1e-8):
                                              residual_rtol=residual_rtol))
 
 
-def _as_callback(t):
-    """Normalize a factor spec to an (eval, partial) pair of callables."""
-    if isinstance(t, tuple):
-        return t
-    return t.eval, t.partial
-
-
-def _mep_callbacks(mep):
-    cbs = []
-    for i in range(mep.nfactors):
-        def ev(values, i=i):
-            return mep.t_eval(i, values)
-
-        def pa(j, values, i=i):
-            return mep.t_partial(i, j, values)
-
-        cbs.append((ev, pa))
-    return cbs
-
-
-def _dd_blocks(callbacks, p, q, tol):
-    """N x N divided-difference blocks between points p and q.
-
-    Block (i, j) differences T_i along coordinate j with coordinates before
-    j already moved to the second point q and coordinates after j still at
-    the first point p:
-
-        [T_i(q_1..q_j, p_{j+1}..) - T_i(q_1..q_{j-1}, p_j..)] / (q_j - p_j),
-
-    the quotient degenerating to the partial derivative when the j-th
-    coordinates coincide.  Column weights (q_j - p_j) then telescope every
-    row to T_i(q) - T_i(p), which left vectors at p and right vectors at q
-    annihilate.
-    """
-    N = len(callbacks)
-    p = [complex(v) for v in p]
-    q = [complex(v) for v in q]
-    blocks = []
-    for ev, pa in callbacks:
-        row = []
-        for j in range(N):
-            dj = q[j] - p[j]
-            if abs(dj) <= tol * max(1.0, abs(q[j])):
-                point = list(q[:j]) + list(p[j:])
-                row.append(pa(j, point))
-            else:
-                hi = list(q[: j + 1]) + list(p[j + 1:])
-                lo = list(q[:j]) + list(p[j:])
-                row.append((ev(hi) - ev(lo)) / dj)
-        blocks.append(row)
-    return blocks
-
-
-class OperatorDeterminant:
-    """Operator determinant of an N x N array of matrix blocks.
-
-    Never forms the tensor-space matrix unless dense() is called: sandwiches
-    with decomposable vectors reduce to an N x N scalar determinant, and
-    matvec applies each Kronecker term mode by mode.
-    """
-
-    def __init__(self, blocks):
-        self.blocks = [list(row) for row in blocks]
-        self.nfactors = len(self.blocks)
-        self.dims = tuple(row[0].shape[0] for row in self.blocks)
-
-    def sandwich(self, ys, xs):
-        """(y_1 (x) ...)* D (x_1 (x) ...) as det [y_i* blocks[i][j] x_i]."""
-        N = self.nfactors
-        S = np.empty((N, N), dtype=complex)
-        for i in range(N):
-            for j in range(N):
-                S[i, j] = np.vdot(ys[i], self.blocks[i][j] @ xs[i])
-        return complex(np.linalg.det(S))
-
-    def matvec(self, z):
-        """Apply to a tensor-space vector, one Kronecker term at a time."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for perm in itertools.permutations(range(self.nfactors)):
-            inv = sum(
-                1
-                for a in range(self.nfactors)
-                for b in range(a + 1, self.nfactors)
-                if perm[a] > perm[b]
-            )
-            sign = -1 if inv % 2 else 1
-            T = z.reshape(self.dims)
-            for mode in range(self.nfactors):
-                M = to_dense(self.blocks[mode][perm[mode]])
-                T = np.moveaxis(np.tensordot(M, T, axes=([1], [mode])), 0, mode)
-            out = out + sign * T.reshape(-1)
-        return out
-
-    def dense(self):
-        """Full tensor-space matrix (small problems only)."""
-        return _operator_determinant(self.blocks)
-
-
-def dd_operator(callbacks, p, q, tol=COINCIDENCE_TOL):
-    """Divided-difference operator of an N-parameter problem (N x N blocks).
-
-    callbacks holds one (eval, partial) callable pair per factor (or an
-    object with those attributes): eval(values) returns T_i at the
-    parameter point, partial(j, values) its derivative along coordinate j.
-    p carries the left vectors, q the right vectors of a sandwich.  For
-    linear dependence the blocks are the constants -P_ij at any two points;
-    with two parameters the operator equals B_1 (x) C_2 - C_1 (x) B_2.
-    """
-    cbs = [_as_callback(t) for t in callbacks]
-    return OperatorDeterminant(_dd_blocks(cbs, p, q, tol))
-
-
-def dd_sandwich(mep, p_values, q_values, ys, xs, tol=COINCIDENCE_TOL):
+def dd_sandwich(mep, p_values, q_values, ys, xs):
     """det [ y_i* T_i[p, q]_j x_i ], the divided-difference sandwich.
 
     Left vectors y_i belong to the first point, right vectors x_i to the
-    second.  Zero for eigenvector tensors of two distinct eigenvalues; at
-    p == q the blocks are the partials -P_ij and the value is the
-    simplicity Jacobian determinant.
+    second.  For linear parameter dependence every divided difference
+    T_i[p, q]_j is the constant -P_ij, so the points only say whose vectors
+    are used.  Zero for eigenvector tensors of two distinct eigenvalues; at
+    p == q the value is the simplicity Jacobian determinant.
     """
-    blocks = _dd_blocks(_mep_callbacks(mep), p_values, q_values, tol)
-    return OperatorDeterminant(blocks).sandwich(ys, xs)
+    S = [[np.vdot(y, mep.t_partial(i, j) @ x) for j in range(mep.nparams)]
+         for i, (y, x) in enumerate(zip(ys, xs))]
+    return complex(np.linalg.det(np.array(S, dtype=complex)))
 
 
 def jacobian_scale(mep):
@@ -703,12 +584,6 @@ def criterion_threshold(eta_sel, variant="new"):
     """Pass threshold for mep_criterion: eta_sel for "new", 1 for "strict"
     (the legacy factor 1/2-of-minimum is folded into the value there)."""
     return float(eta_sel) if variant == "new" else 1.0
-
-
-def mep_passes(mep, registry, vs, eta_sel=0.1, variant="new"):
-    """True when the factor vectors vs clear the selection criterion."""
-    value = mep_criterion(mep, registry, vs, variant=variant)
-    return value < criterion_threshold(eta_sel, variant)
 
 
 def _unit(x):
@@ -1015,6 +890,8 @@ def to_dense_matvec(mep, i, values, v):
 
 def gen_random_mep(dims, nparams=None, seed=0):
     """Random dense complex linear MEP for the given factor dimensions."""
+    if min(dims) < 1:
+        raise ValueError(f"factor dimensions must be at least 1, got {dims}")
     if nparams is None:
         nparams = len(dims)
     rng = np.random.default_rng(seed)
@@ -1051,17 +928,6 @@ def cheb(N):
     return D, x
 
 
-def fourpoint_grid(N):
-    """Interior collocation nodes for the three unit intervals [i-1, i]."""
-    _, x = cheb(N)
-    grids = []
-    for i in (1, 2, 3):
-        a, b = float(i - 1), float(i)
-        t = a + (b - a) * (x + 1.0) / 2.0
-        grids.append(t[1:-1][::-1])
-    return grids
-
-
 def gen_fourpoint_bvp(N):
     """Three-parameter problem from w'' + (lam + 2 mu cos t + 2 nu cos 2t) w = 0.
 
@@ -1071,6 +937,8 @@ def gen_fourpoint_bvp(N):
     D_i = 2 diag(cos 2t).  Eigenvalues (lam, mu, nu) make all three
     boundary value problems solvable at once.
     """
+    if N < 2:
+        raise ValueError(f"grid degree N must be at least 2, got {N}")
     D, x = cheb(N)
     ops = []
     for i in (1, 2, 3):

@@ -292,6 +292,8 @@ def gen_gyroscopic(n, seed=0):
     the subdiagonal and +1 on the superdiagonal (skew-symmetric), C diagonal
     with entries uniform on (-1, 0).  Coefficients are returned sparse.
     """
+    if n < 1:
+        raise ValueError(f"matrix size n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, 1.0, size=n)
     a[0] = 0.0
@@ -310,6 +312,8 @@ def gen_random_pep(n, m, seed=0, symmetric=False):
     With symmetric=True each coefficient is symmetrized as (A + A^T)/2
     (transpose, not conjugate transpose).
     """
+    if n < 1:
+        raise ValueError(f"matrix size n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     coeffs = []
     for _ in range(m + 1):

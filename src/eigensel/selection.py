@@ -120,38 +120,10 @@ class EigenTriplet:
             }
         return d
 
-    @staticmethod
-    def from_dict(d):
-        value = d["value"]
-        if isinstance(value, dict) and value.get("inf"):
-            value = math.inf
-        else:
-            value = complex(value[0], value[1])
-        point = None
-        if "point" in d:
-            pa, pb = d["point"]["alpha"], d["point"]["beta"]
-            point = hom.ProjectivePoint(complex(*pa), complex(*pb))
-        cond = d.get("cond")
-        residual = d.get("residual")
-        return EigenTriplet(
-            value=value,
-            right=_vec_from_dict(d["right"]),
-            left=_vec_from_dict(d["left"]),
-            denom=complex(d["denom"][0], d["denom"][1]),
-            cond=math.nan if cond is None else float(cond),
-            residual=math.nan if residual is None else float(residual),
-            found_iteration=int(d.get("found_iteration", -1)),
-            point=point,
-        )
-
 
 def _vec_to_dict(v):
     v = np.asarray(v)
     return {"re": v.real.tolist(), "im": v.imag.tolist()}
-
-
-def _vec_from_dict(d):
-    return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
 
 
 @dataclass

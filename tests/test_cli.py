@@ -88,6 +88,16 @@ class TestGenerate:
         _, prob = mmio.load_problem(str(d / "manifest.json"))
         assert all(hasattr(A, "tocsc") for A in prob.coeffs)
 
+    @pytest.mark.parametrize("args", [["random_pep", "--n", "0"],
+                                      ["gyroscopic", "--n", "0"],
+                                      ["fourpoint", "--grid", "1"]])
+    def test_empty_problem_exits_5(self, tmp_path, capsys, args):
+        d = tmp_path / "p"
+        rc = cli.main(["generate", *args, "--out", str(d)])
+        assert rc == cli.EXIT_IO
+        assert "error:" in capsys.readouterr().err
+        assert not (d / "manifest.json").exists()
+
 
 class TestSolveAndVerify:
     def test_solve_writes_outputs(self, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Multiparameter problems: Delta operators, divided differences, solver.
 
 Hand-built Kronecker formulas are the reference for the operator
-determinants, the raw difference quotient for the divided-difference
-blocks, and the dense Delta-pencil solve for every subspace run.
+determinants, the Delta_0 sandwich for the divided-difference sandwich, and
+the dense Delta-pencil solve for every subspace run.
 """
 import itertools
 import math
@@ -20,40 +20,20 @@ from eigensel.mep import (
     MepOptions,
     cheb,
     criterion_threshold,
-    dd_operator,
     dd_sandwich,
     delta_operators,
     dense_solve,
     dense_solve_2p,
     dense_solve_3p,
-    fourpoint_grid,
     gen_fourpoint_bvp,
     gen_random_mep,
     mep_criterion,
-    mep_passes,
     mep_register,
     mep_subspace_solve,
     oscillation_index,
     tensor_rayleigh,
     to_dense_matvec,
 )
-
-
-def linear_callbacks(mep, i):
-    """(eval, partial) closures for factor i of a linear problem."""
-    A = mep.a_mat(i)
-    Ps = list(mep.param_mats(i))
-
-    def ev(values):
-        out = A.astype(complex).copy()
-        for val, P in zip(values, Ps):
-            out = out - complex(val) * P
-        return out
-
-    def pa(j, values=None):
-        return -Ps[j]
-
-    return ev, pa
 
 
 class TestDeltaOperators:
@@ -161,91 +141,25 @@ class TestDenseSolve:
                 assert np.linalg.norm(r) <= 1e-8 * m.tolerance_scale(i, t.values)
 
 
-class TestDividedDifferenceOperator:
-    def test_linear_two_param_equals_delta0(self):
-        # constant blocks -P_ij: the operator determinant is exactly Delta_0
-        m = gen_random_mep((3, 4), seed=8)
-        op = dd_operator([linear_callbacks(m, 0), linear_callbacks(m, 1)],
-                         (0.3 + 1.0j, -0.2), (1.1, 0.7 - 0.5j))
-        np.testing.assert_allclose(op.dense(), delta_operators(m)[0],
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_linear_three_param_equals_minus_delta0(self):
-        # one more factor flips the sign: (-1)^3 det[[P_ij]]
-        m = gen_random_mep((2, 3, 2), seed=9)
-        cbs = [linear_callbacks(m, i) for i in range(3)]
-        op = dd_operator(cbs, (0.1, 0.2, 0.3), (1.0, -1.0, 0.5))
-        np.testing.assert_allclose(op.dense(), -delta_operators(m)[0],
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_quadratic_dependence_closed_form(self):
-        # T(lam, mu) = A - lam B - mu C - lam^2 E: the lambda column of the
-        # divided difference must be -B - (lam1 + lam2) E
-        rng = np.random.default_rng(10)
-        A, B, C, E = (rng.standard_normal((3, 3)) for _ in range(4))
-
-        def ev(v):
-            return A - v[0] * B - v[1] * C - v[0] ** 2 * E
-
-        def pa(j, v):
-            return -B - 2 * v[0] * E if j == 0 else -C
-
-        other = gen_random_mep((3, 3), seed=11)
-        p, q = (0.4, -0.7), (1.3, 0.9)
-        op = dd_operator([(ev, pa), linear_callbacks(other, 0)], p, q)
-        want = -B - (p[0] + q[0]) * E
-        np.testing.assert_allclose(op.blocks[0][0], want, rtol=1e-12,
-                                   atol=1e-12)
-        # and against the raw difference quotient
-        quot = (ev((q[0], p[1])) - ev((p[0], p[1]))) / (q[0] - p[0])
-        np.testing.assert_allclose(op.blocks[0][0], quot, rtol=1e-10,
-                                   atol=1e-10)
-
-    def test_telescoping_reproduces_endpoint_difference(self):
-        # sum_j (q_j - p_j) * block(i, j) = T_i(q) - T_i(p)
-        rng = np.random.default_rng(12)
-        A, B, C, E = (rng.standard_normal((3, 3)) for _ in range(4))
-
-        def ev(v):
-            return A - v[0] * B - v[1] * C - v[0] * v[1] * E
-
-        def pa(j, v):
-            return -B - v[1] * E if j == 0 else -C - v[0] * E
-
-        other = gen_random_mep((3, 3), seed=13)
-        p, q = (0.2 + 0.3j, -1.0), (0.8, 0.5 - 0.2j)
-        op = dd_operator([(ev, pa), linear_callbacks(other, 0)], p, q)
-        got = sum((q[j] - p[j]) * op.blocks[0][j] for j in range(2))
-        np.testing.assert_allclose(got, ev(q) - ev(p), rtol=1e-12, atol=1e-12)
-
-    def test_coincident_coordinate_takes_partial(self):
-        rng = np.random.default_rng(14)
-        A, B, C, E = (rng.standard_normal((3, 3)) for _ in range(4))
-
-        def ev(v):
-            return A - v[0] * B - v[1] * C - v[0] ** 2 * E
-
-        def pa(j, v):
-            return -B - 2 * v[0] * E if j == 0 else -C
-
-        other = gen_random_mep((3, 3), seed=15)
-        lam = 0.6
-        op = dd_operator([(ev, pa), linear_callbacks(other, 0)],
-                         (lam, -0.7), (lam, 0.9))
-        np.testing.assert_allclose(op.blocks[0][0], pa(0, (lam, 0.0)),
-                                   atol=1e-12)
-
-    def test_factored_matvec_matches_dense(self):
-        m = gen_random_mep((3, 4), seed=16)
-        op = dd_operator([linear_callbacks(m, 0), linear_callbacks(m, 1)],
-                         (0.1, 0.2), (0.9, -0.5))
-        rng = np.random.default_rng(17)
-        z = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        np.testing.assert_allclose(op.matvec(z), op.dense() @ z, rtol=1e-12,
-                                   atol=1e-12)
-
-
 class TestSandwichAndCriterion:
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 2)])
+    def test_sandwich_is_the_delta0_sandwich(self, dims):
+        # constant blocks -P_ij: (y_1 (x) ...)* (-1)^k Delta_0 (x_1 (x) ...)
+        # at any two points
+        m = gen_random_mep(dims, seed=len(dims))
+        rng = np.random.default_rng(8)
+        ys, xs = ([rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                   for n in dims] for _ in range(2))
+        y, x = ys[0], xs[0]
+        for i in range(1, len(dims)):
+            y, x = np.kron(y, ys[i]), np.kron(x, xs[i])
+        want = (-1) ** len(dims) * np.vdot(y, delta_operators(m)[0] @ x)
+        p = (0.3 + 1.0j, -0.2, 0.5)[:len(dims)]
+        q = (1.1, 0.7 - 0.5j, -1.0)[:len(dims)]
+        for a, b in ((p, q), (p, p)):
+            np.testing.assert_allclose(dd_sandwich(m, a, b, ys, xs), want,
+                                       rtol=1e-12)
+
     def test_cross_annihilation_and_self_jacobian(self):
         m = gen_random_mep((3, 3), seed=18)
         reg = dense_solve_2p(m)
@@ -278,8 +192,6 @@ class TestSandwichAndCriterion:
         np.testing.assert_allclose(v, 2.0, atol=1e-9)
         assert criterion_threshold(0.1, "new") == 0.1
         assert criterion_threshold(0.1, "strict") == 1.0
-        assert not mep_passes(m, [t], t.xs, eta_sel=0.1)
-        assert not mep_passes(m, [t], t.xs, variant="strict")
         with pytest.raises(ValueError):
             mep_criterion(m, [t], t.xs, variant="legacy")
 
@@ -858,12 +770,6 @@ class TestBoundaryValueProblem:
         np.testing.assert_allclose(D @ x**2, 2 * x, atol=1e-10)
         np.testing.assert_allclose(D @ x**3, 3 * x**2, atol=1e-9)
 
-    def test_fourpoint_grid_interior_and_ordered(self):
-        grids = fourpoint_grid(10)
-        for i, g in enumerate(grids):
-            assert np.all(np.diff(g) > 0)
-            assert g[0] > i and g[-1] < i + 1
-
     def test_factor_shapes(self):
         m = gen_fourpoint_bvp(10)
         assert m.nparams == 3
@@ -890,6 +796,19 @@ class TestBoundaryValueProblem:
             # phase rotation must not change the count
             assert oscillation_index(np.exp(1.3j) * v) == k - 1
 
+    @pytest.mark.xfail(strict=True, reason="stalls near (4 pi^2, 0, 0) "
+                       "at residual 1e-8 against tol 1e-10")
+    @pytest.mark.parametrize("seed", [4164804915, 1750224696])
+    def test_benchmark_seed_finds_all_nine(self, seed):
+        # the full bvp3p benchmark setting at op_seed(16201, 44) and
+        # op_seed(2, 224): 7 of 9 are registered, then the pick hovers near
+        # (4 pi^2, 0, 0) until max_outer
+        opts = MepOptions(target=(0.0, 0.0, 0.0), num_pairs=9, tol=1e-10,
+                          mindim=3, maxdim=4, max_outer=60, seed=seed)
+        res = mep_subspace_solve(gen_fourpoint_bvp(100), opts)
+        assert len(res.registry) == 9
+        assert not res.truncated
+
 
 class TestConstructors:
     def test_linear_mep2_shape_check(self):
@@ -907,3 +826,12 @@ class TestConstructors:
         assert m.nparams == 2 and m.dims == (4, 5)
         m3 = gen_random_mep((2, 3, 4), seed=31)
         assert m3.nparams == 3 and m3.dims == (2, 3, 4)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_generators_reject_empty_factors(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            gen_random_mep((n, 3))
+        # N = 1 leaves no interior node
+        for N in (n, n + 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                gen_fourpoint_bvp(N)

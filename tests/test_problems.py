@@ -285,6 +285,13 @@ class TestGenerators:
         assert abs(np.linalg.det(p.eval(0.0))) < 1e-30
         assert abs(np.linalg.det(p.eval(delta))) < 1e-30
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_size_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            gen_random_pep(n, 2)
+        with pytest.raises(ValueError, match="at least 1"):
+            gen_gyroscopic(n)
+
     def test_constructor_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             PolyProblem([np.eye(2)])
