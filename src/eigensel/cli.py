@@ -85,11 +85,6 @@ def build_parser():
     s.add_argument("--eta", type=float, default=0.1)
     s.add_argument("--mode", choices=["standard", "homogeneous"],
                    default="standard")
-    s.add_argument("--extraction", choices=["ritz", "gal1"], default="ritz",
-                   help="value of the selected pair: the projected one "
-                        "('ritz'), or gal1, its one-dimensional Galerkin "
-                        "refinement; pairs are harmonic in standard mode, "
-                        "Ritz pairs in homogeneous mode")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output directory")
 
@@ -175,19 +170,15 @@ def _solve_pep(prob, args, manifest):
         inner_steps=args.inner_steps,
         eta=args.eta,
         mode=args.mode,
-        extraction="gal1_refined" if args.extraction == "gal1" else "ritz",
         seed=args.seed,
     )
     res = jdsolver.jd_solve(prob, opts)
     config = {
-        "target": [opts.target.real, opts.target.imag]
-        if not isinstance(opts.target, hom.ProjectivePoint)
-        else _value_payload(opts.target),
+        "target": [opts.target.real, opts.target.imag],
         "num_pairs": opts.num_pairs, "tol": opts.tol,
         "mindim": opts.mindim, "maxdim": opts.maxdim,
         "max_outer": opts.max_outer, "inner_steps": opts.inner_steps,
-        "eta": opts.eta, "mode": opts.mode, "extraction": opts.extraction,
-        "seed": opts.seed,
+        "eta": opts.eta, "mode": opts.mode, "seed": opts.seed,
     }
     return _finish_solve(
         args, manifest, opts, res,
@@ -220,7 +211,7 @@ def _solve_mep(m, args, manifest):
         "num_pairs": opts.num_pairs, "tol": opts.tol,
         "mindim": opts.mindim, "maxdim": opts.maxdim,
         "max_outer": opts.max_outer, "inner_steps": opts.inner_steps,
-        "eta": opts.eta, "criterion": opts.criterion, "seed": opts.seed,
+        "eta": opts.eta, "seed": opts.seed,
     }
     pairs = []
     for t in res.registry:
@@ -244,9 +235,9 @@ def cmd_solve(args):
     os.makedirs(args.out, exist_ok=True)
     if ptype == "pep":
         return _solve_pep(prob, args, manifest)
-    if args.mode != "standard" or args.extraction != "ritz":
-        print("note: --mode/--extraction apply to one-parameter problems "
-              "only; ignored here")
+    if args.mode != "standard":
+        print("note: --mode applies to one-parameter problems only; "
+              "ignored here")
     return _solve_mep(prob, args, manifest)
 
 

@@ -49,6 +49,7 @@ eigenvalue-only QZ on the pencil otherwise.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import os
@@ -66,7 +67,7 @@ from .selection import (
     DefectiveEigenvalueError,
     SelectionConfig,
     candidate_criteria,
-    criterion_value,
+    criterion_value,  # unused here; perfbench traces the name in this module
     register,
 )
 
@@ -79,7 +80,6 @@ __all__ = [
     "OraclePair",
     "rgs",
     "extract_candidates",
-    "gal1_refine",
     "jd_solve",
     "oracle_all_eigenpairs",
     "oracle_eigenvalues",
@@ -126,13 +126,9 @@ class JDOptions:
     max_outer : outer iteration budget; exceeding it truncates the solve.
     inner_steps : GMRES steps for the correction equation.
     eta : selection threshold in (0, 1).
-    mode : "standard" (scalar eigenvalues) or "homogeneous" (projective,
-        infinite eigenvalues representable).
-    extraction : "ritz" or "gal1_refined" (one-dimensional Galerkin value
-        refinement of the selected pair).  Both start from the pairs of
-        extract_candidates: harmonic in standard mode (they approximate
-        interior eigenvalues near target, where Ritz pairs re-offer the
-        registered ones), Ritz in homogeneous mode.
+    mode : "standard" (scalar eigenvalues, harmonic extraction) or
+        "homogeneous" (projective, infinite eigenvalues representable, Ritz
+        extraction); see extract_candidates.
     seed : seed for every random draw of the run.
 
     The radius around blocked values and the floor of the left eigenvector
@@ -148,7 +144,6 @@ class JDOptions:
     inner_steps: int = 10
     eta: float = 0.1
     mode: str = "standard"
-    extraction: str = "ritz"
     seed: int = 0
 
     def validate(self, n):
@@ -163,14 +158,17 @@ class JDOptions:
             raise ValueError("max_outer must be positive")
         if self.inner_steps < 1:
             raise ValueError("inner_steps must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie strictly between 0 and 1")
         if self.mode not in ("standard", "homogeneous"):
             raise ValueError("mode must be 'standard' or 'homogeneous'")
-        if self.extraction not in ("ritz", "gal1_refined"):
-            raise ValueError("extraction must be 'ritz' or 'gal1_refined'")
+        target = complex(self.target)
+        if cmath.isnan(target) or (cmath.isinf(target)
+                                   and self.mode == "standard"):
+            raise ValueError("target must be finite (homogeneous mode also "
+                             "takes an infinite one)")
 
 
 @dataclass
@@ -459,38 +457,6 @@ def extract_candidates(space, target, mode="standard"):
     return [CandidatePair(values[i], C[idx[i]]) for i in order]
 
 
-def gal1_refine(problem, v, target, theta0=None):
-    """One-dimensional Galerkin eigenvalue for the vector v.
-
-    Returns the root of the scalar polynomial sum_i theta^i (v* A_i v) whose
-    residual ||P(theta) v|| is smallest, ties broken by distance to the
-    target.  A (numerically) zero polynomial keeps theta0.
-    """
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
-    p = np.array([np.vdot(v, A @ v) for A in problem.coeffs])
-    scale = np.max(np.abs(p))
-    if scale == 0.0 or not np.isfinite(scale):
-        return theta0
-    # np.roots wants highest degree first and no leading (near-)zeros
-    coeffs = p[::-1]
-    nz = np.nonzero(np.abs(coeffs) > 1e-14 * scale)[0]
-    if nz.size == 0 or nz[0] == len(coeffs) - 1:
-        return theta0
-    roots = np.roots(coeffs[nz[0]:])
-    if roots.size == 0:
-        return theta0
-    res = np.array([np.linalg.norm(problem.matvec(t, v)) for t in roots])
-    best = res.min()
-    close = res <= best * (1.0 + 1e-12) + 0.0
-    pick = np.where(close)[0]
-    if pick.size > 1:
-        pick = pick[np.argmin(np.abs(roots[pick] - complex(target)))]
-    else:
-        pick = pick[0]
-    return complex(roots[pick])
-
-
 def _residual(problem, space, theta, c):
     """Residual vector and scaled norm for a primitive Ritz pair."""
     m = problem.degree
@@ -642,15 +608,16 @@ def _selection_loop(opts, spaces, ts, registry, blocked, cutoff, randn, *,
     return outer, True
 
 
-def jd_solve(problem, options=None, v0=None, M=None):
+def jd_solve(problem, options=None):
     """Compute several eigenpairs of a PEP by Jacobi-Davidson with selection.
+
+    The search space starts from a seeded random vector, and the LU of
+    P(target) preconditions every correction.
 
     Parameters
     ----------
     problem : PolyProblem
     options : JDOptions
-    v0 : optional starting vector (seeded random otherwise).
-    M : optional preconditioner with .solve (default: LU of P(target)).
 
     Returns
     -------
@@ -665,8 +632,7 @@ def jd_solve(problem, options=None, v0=None, M=None):
     rng = np.random.default_rng(opts.seed)
     config = SelectionConfig(eta=opts.eta, mode=opts.mode)
     homo = opts.mode == "homogeneous"
-    if M is None:
-        M = linsolve.lu_preconditioner(problem, opts.target)
+    M = linsolve.lu_preconditioner(problem, opts.target)
 
     registry = []
     records = []
@@ -676,29 +642,24 @@ def jd_solve(problem, options=None, v0=None, M=None):
         return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
     def _pair(cand, crit, first):
-        """The pick at theta, which the first pick of an iteration refines
-        (gal1_refined) and, once converged, snaps to infinity."""
+        """The pick at theta, which the first pick of an iteration snaps to
+        infinity once converged."""
         theta, c = cand.theta, cand.v
-        vc = space.V @ c
-        crit = float(crit)
-        if first and opts.extraction == "gal1_refined":
-            theta = _gal1_for_mode(problem, vc, target, theta, homo)
-            crit = criterion_value(problem, registry,
-                                   CandidatePair(theta, _unit(vc)), config)
         r, resnorm, scale = _residual(problem, space, theta, c)
         converged = resnorm <= opts.tol * scale
         rho = resnorm / scale
         if first and converged:
             theta, rho = _snap_infinite(problem, space, theta, c, rho,
                                         opts.tol)
-        return _Pick(theta, rho, converged, crit, [_unit(vc)], [r])
+        return _Pick(theta, rho, converged, float(crit), [_unit(space.V @ c)],
+                     [r])
 
     def _register(p, outer):
         """Left eigenvector, then registration.  The left residual cannot
         undercut the accuracy of theta itself, so the tolerance tracks the
         achieved right residual."""
         y = linsolve.left_eigenvector(
-            problem, p.value, rtol=max(_LEFT_RTOL, 10.0 * p.res), M=M,
+            problem, p.value, rtol=max(_LEFT_RTOL, 10.0 * p.res),
             seed=opts.seed + 1000 + len(registry) + len(blocked),
         )
         register(problem, registry, p.value, p.vecs[0], y, config,
@@ -713,7 +674,7 @@ def jd_solve(problem, options=None, v0=None, M=None):
         records.append(ConvergenceRecord(outer, complex(theta), res, crit,
                                          event))
 
-    t = _rand(n) if v0 is None else np.asarray(v0, dtype=complex)
+    t = _rand(n)
     space = SearchSpace(problem.coeffs, rng)
     target = hom.from_scalar(complex(opts.target)) if homo else complex(opts.target)
 
@@ -734,22 +695,6 @@ def jd_solve(problem, options=None, v0=None, M=None):
         basis=lambda c: [c.v],
     )
     return JDResult(registry, records, outer, truncated, blocked)
-
-
-def _gal1_for_mode(problem, v, target, theta, homo):
-    """gal1 refinement; homogeneous mode refines only clearly finite values."""
-    if not homo:
-        refined = gal1_refine(problem, v, complex(target), theta0=theta)
-        return theta if refined is None else refined
-    if isinstance(theta, hom.ProjectivePoint) and abs(theta.beta) < 1e-8:
-        return theta
-    tgt = target.to_scalar() if isinstance(target, hom.ProjectivePoint) else target
-    if tgt == math.inf:
-        tgt = 0.0
-    refined = gal1_refine(problem, v, complex(tgt), theta0=None)
-    if refined is None:
-        return theta
-    return hom.scale_canonical(hom.from_scalar(refined))
 
 
 class OracleCapError(ValueError):

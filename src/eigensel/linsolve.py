@@ -21,6 +21,7 @@ The three consumers are
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -150,12 +151,15 @@ class LuPreconditioner:
         inv = self._inv.conj().T if adjoint else self._inv
         return _field_solve(lambda c: inv @ c, self.dtype, b)
 
-    def __call__(self, b):
-        return self.solve(b)
-
 
 def lu_preconditioner(problem, target):
-    """LU of the problem evaluated at the target (scalar or projective)."""
+    """LU of the problem evaluated at the target (scalar or projective).
+
+    An infinite scalar target is the point (1, 0), where the homogeneous
+    evaluation is A_m; P(inf) as a scalar evaluation has no finite entries.
+    """
+    if not isinstance(target, hom.ProjectivePoint) and cmath.isinf(target):
+        target = hom.from_scalar(math.inf)
     if isinstance(target, hom.ProjectivePoint):
         A = hom.hom_eval(problem, hom.scale_canonical(target))
     else:
@@ -370,51 +374,36 @@ def _direct_solver(Z):
         lambda c: sla.lu_solve(lu, c, check_finite=False), lu[0].dtype, b)
 
 
-def null_vector(Z, tol, y0=None, solve=None, M=None, seed=0, gmres_steps=200,
-                retries=3):
+# Seeded random right-hand sides null_vector tries after its first pass.
+_NULL_RETRIES = 3
+
+
+def null_vector(Z, tol, seed=0):
     """Approximate null vector of an (almost) singular matrix Z.
 
-    First pass: b = Z y0 / ||Z y0||, solve Z x = b approximately, and
-    normalize the difference y = (x - y0)/||x - y0||; the inexactness of the
-    inner solve surfaces the near-null direction.  When the inner solve is
-    (close to) exact, x is parallel to y0 and the difference carries no null
-    information, so on failure of the ||Z y|| <= tol check the retries solve
-    against fresh seeded random right-hand sides instead (inverse iteration,
-    whose solutions are dominated by the null direction).  The best candidate
-    over all attempts is kept.
+    First pass: for a seeded random unit y0, b = Z y0 / ||Z y0||, solve
+    Z x = b, and normalize the difference y = (x - y0)/||x - y0||; the
+    inexactness of the solve surfaces the near-null direction.  When the
+    solve is (close to) exact, x is parallel to y0 and the difference
+    carries no null information, so on failure of the ||Z y|| <= tol check
+    the retries solve against _NULL_RETRIES fresh seeded random right-hand
+    sides instead (inverse iteration, whose solutions are dominated by the
+    null direction).  The best candidate over all attempts is kept.
 
-    Z may be an array, sparse matrix, or matvec callable (then an inner
-    `solve` callable or preconditioner M for the internal GMRES must make the
-    solves possible).  tol is an absolute bound on ||Z y|| for unit y; pick
-    it relative to the scale of Z.  Raises NullVectorError if no attempt
-    reaches tol.
+    Z is a dense array or a sparse matrix; every solve goes through one LU
+    factorization of it.  tol is an absolute bound on ||Z y|| for unit y;
+    pick it relative to the scale of Z.  Raises NullVectorError if no
+    attempt reaches tol.
     """
-    matvec = _as_matvec(Z)
-    if solve is None:
-        if hasattr(Z, "shape"):
-            solve = _direct_solver(Z)
-        else:
-            def solve(b):
-                x, _, _ = gmres(matvec, b, tol=min(tol, 1e-8),
-                                maxiter=gmres_steps, M=M)
-                return x
-
-    if hasattr(Z, "shape"):
-        n = Z.shape[0]
-    else:
-        n = np.asarray(y0).shape[0]
+    solve = _direct_solver(Z)
+    n = Z.shape[0]
     rng = np.random.default_rng(seed)
 
     def _random_unit():
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return w / np.linalg.norm(w)
 
-    if y0 is None:
-        y0 = _random_unit()
-    else:
-        y0 = np.asarray(y0, dtype=complex)
-        y0 = y0 / np.linalg.norm(y0)
-
+    y0 = _random_unit()
     best = None
     best_res = np.inf
 
@@ -424,13 +413,12 @@ def null_vector(Z, tol, y0=None, solve=None, M=None, seed=0, gmres_steps=200,
         if ny == 0.0 or not np.isfinite(ny):
             return False
         y = y / ny
-        res = np.linalg.norm(matvec(y))
+        res = np.linalg.norm(Z @ y)
         if res < best_res:
             best, best_res = y, res
         return res <= tol
 
-    # Step 1-3 with the given starting vector.
-    b = matvec(y0)
+    b = Z @ y0
     nb = np.linalg.norm(b)
     if nb <= tol:
         return y0  # y0 is already a null vector at the requested level
@@ -438,29 +426,26 @@ def null_vector(Z, tol, y0=None, solve=None, M=None, seed=0, gmres_steps=200,
         return best
 
     # Retries: fresh right-hand sides, null direction amplified by Z^{-1}.
-    for _ in range(retries):
+    for _ in range(_NULL_RETRIES):
         if _consider(solve(_random_unit())):
             return best
 
-    if best_res <= tol:
-        return best
     raise NullVectorError(
         f"null vector stagnated: best ||Z y|| = {best_res:.3e} > tol = {tol:.3e}"
     )
 
 
-def left_eigenvector(problem, theta, rtol=1e-8, M=None, seed=0):
+def left_eigenvector(problem, theta, rtol=1e-8, seed=0):
     """Left eigenvector y with F(theta)* y ~ 0 for a converged eigenvalue.
 
     theta may be a scalar or a ProjectivePoint (for homogeneous solves,
     including the infinite eigenvalue).  The null vector tolerance is rtol
     times the residual scale sum_i |theta|^i ||A_i||_1 (its homogeneous
-    analogue for projective theta).  At desk scale the inner solves use one
-    LU factorization of F(theta)*; a preconditioner M is only consulted when
-    F(theta) is not materializable.
+    analogue for projective theta).  The solves use one LU factorization of
+    F(theta)*.
     """
     F, _, scale = _theta_eval(problem, theta)
     Z = F.conj().T
     if sp.issparse(Z):
         Z = Z.tocsr()
-    return null_vector(Z, tol=rtol * scale, M=M, seed=seed)
+    return null_vector(Z, tol=rtol * scale, seed=seed)

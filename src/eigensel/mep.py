@@ -33,6 +33,7 @@ tuples real.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -563,6 +564,7 @@ def mep_criterion(mep, registry, vs, variant="new"):
     (1/2) min_i |denom_i|, returned here as max_i |num_i| / ((1/2) min_i
     |denom_i|) so that passing always means value < threshold with
     threshold 1.  Empty registry gives 0.0 under both variants.
+    mep_subspace_solve uses "new" with the cutoff eta.
     """
     if not registry:
         return 0.0
@@ -641,8 +643,7 @@ def tensor_rayleigh(mep, xs, ys):
 class MepOptions:
     """mep_subspace_solve parameters (see JDOptions for the shared fields,
     with one target value per parameter and mindim, maxdim bounding every
-    factor space).  criterion names the mep_criterion variant, "new" or
-    "strict"."""
+    factor space)."""
 
     target: tuple = (0.0, 0.0)
     num_pairs: int = 1
@@ -652,7 +653,6 @@ class MepOptions:
     max_outer: int = 100
     inner_steps: int = 10
     eta: float = 0.1
-    criterion: str = "new"
     seed: int = 0
 
     def validate(self, mep):
@@ -670,12 +670,12 @@ class MepOptions:
             raise ValueError("num_pairs and max_outer must be positive")
         if self.inner_steps < 1:
             raise ValueError("inner_steps must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie strictly between 0 and 1")
-        if self.criterion not in ("new", "strict"):
-            raise ValueError("criterion must be 'new' or 'strict'")
+        if not all(cmath.isfinite(complex(t)) for t in self.target):
+            raise ValueError("target components must be finite")
 
 
 @dataclass
@@ -735,7 +735,7 @@ def _factor_correction(Tmat, v, r, steps, M):
     return proj(t)
 
 
-def mep_subspace_solve(mep, options=None, v0s=None):
+def mep_subspace_solve(mep, options=None):
     """Jacobi-Davidson on a linear MEP with divided-difference selection.
 
     One orthonormal search space per factor; each outer iteration projects
@@ -756,9 +756,8 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     imaginary parts on a real tuple.
     Values whose registration fails land on the blocked list.
 
-    v0s gives one start vector per factor space, used as given.  By
-    default factor i starts from LU(T_i(target))^-1 rho_i for a seeded
-    random rho_i: one inverse-iteration step at the target, through the
+    Factor i starts from LU(T_i(target))^-1 rho_i for a seeded random
+    rho_i: one inverse-iteration step at the target, through the
     preconditioner that the corrections use.  A raw random start puts the
     first Ritz tuple far from the target, and the corrections take many
     outer iterations to bring it back.
@@ -783,7 +782,7 @@ def mep_subspace_solve(mep, options=None, v0s=None):
     target = tuple(complex(t) for t in opts.target)
     real = mep.dtype.kind == "f" and not any(t.imag for t in target)
 
-    # LU of T_i(target) gives the default start and preconditions corrections
+    # LU of T_i(target) gives the start and preconditions corrections
     precs = [linsolve.LuPreconditioner(mep.t_eval(i, target)) for i in range(N)]
     spaces = [SearchSpace([mep.a_mat(i)] + list(mep.param_mats(i)), rng,
                           dtype=float if real else complex)
@@ -794,8 +793,7 @@ def mep_subspace_solve(mep, options=None, v0s=None):
             return rng.standard_normal(n)
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    ts = [precs[i].solve(_randn(mep.dims[i])) if v0s is None
-          else np.asarray(v0s[i]) for i in range(N)]
+    ts = [precs[i].solve(_randn(mep.dims[i])) for i in range(N)]
 
     registry = []
     records = []
@@ -811,8 +809,7 @@ def mep_subspace_solve(mep, options=None, v0s=None):
 
     def _criteria(cands):
         return _OnFirstRead(lambda j: mep_criterion(
-            mep, registry, [sp.V @ x for sp, x in zip(spaces, cands[j].xs)],
-            variant=opts.criterion))
+            mep, registry, [sp.V @ x for sp, x in zip(spaces, cands[j].xs)]))
 
     def _residuals(values, vs):
         """Factor residuals at (values, unit vs) and the worst relative one."""
@@ -858,8 +855,7 @@ def mep_subspace_solve(mep, options=None, v0s=None):
         records.append(MepRecord(outer, values, res, crit, event))
 
     outer, truncated = _selection_loop(
-        opts, spaces, ts, registry, blocked,
-        criterion_threshold(opts.eta, opts.criterion), _randn,
+        opts, spaces, ts, registry, blocked, opts.eta, _randn,
         extract=_extract,
         is_blocked=lambda c: bool(blocked) and _mep_blocked(
             c.values, blocked, _BLOCKED_TOL),

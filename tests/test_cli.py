@@ -1,4 +1,5 @@
 """Batch front end: file formats, subcommands, exit codes."""
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from eigensel import cli, jdsolver, mmio
-from eigensel.mep import LinearMep3
+from eigensel.mep import LinearMep3, MepOptions
 from eigensel.problems import PolyProblem
 
 
@@ -171,6 +172,24 @@ class TestSolveAndVerify:
         rc = cli.main(["verify", "--problem", manifest,
                        "--results", str(outdir / "results.json")])
         assert rc == 0
+
+    def test_homogeneous_infinite_target(self, tmp_path):
+        d = tmp_path / "g"
+        assert cli.main(["generate", "gyroscopic", "--n", "30",
+                         "--out", str(d)]) == 0
+        with pytest.warns(UserWarning, match="exactly singular"):
+            rc = cli.main([
+                "solve", "--problem", str(d), "--out", str(tmp_path / "run"),
+                "--target", "inf", "0", "--mode", "homogeneous",
+                "--num-pairs", "3",
+            ])
+        assert rc in (cli.EXIT_OK, cli.EXIT_TRUNCATED)
+
+    def test_config_records_every_option(self, tmp_path):
+        _, outdir = solve_fixture(tmp_path)
+        config = json.loads((outdir / "results.json").read_text())["config"]
+        assert set(config) == {f.name for f in
+                               dataclasses.fields(jdsolver.JDOptions)}
 
 
 class TestVerifyPep:
@@ -338,6 +357,8 @@ class TestMepFlow:
             "--max-outer", "120",
         ])
         assert rc == 0
+        config = json.loads((outdir / "results.json").read_text())["config"]
+        assert set(config) == {f.name for f in dataclasses.fields(MepOptions)}
         monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "10")
         capsys.readouterr()
         rc = cli.main(["verify", "--problem", manifest,
@@ -371,6 +392,18 @@ class TestReportAndErrors:
                        "--inner-steps", "0"])
         assert rc == cli.EXIT_IO
         assert "error: inner_steps must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["--tol", "nan"],
+                                     ["--target", "inf", "0"]])
+    def test_nonfinite_input_exits_5(self, tmp_path, capsys, bad):
+        manifest = mmio.save_pep(str(tmp_path / "prob"), diag_qep(),
+                                 "diag_qep", {})
+        rc = cli.main(["solve", "--problem", manifest,
+                       "--out", str(tmp_path / "r"), "--mindim", "1",
+                       "--maxdim", "2", *bad])
+        assert rc == cli.EXIT_IO
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "results.json").exists()
 
     def test_foreign_json_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"

@@ -102,6 +102,15 @@ class TestLuPreconditioner:
         np.testing.assert_allclose(target @ M.solve(b), b, rtol=1e-9,
                                    atol=1e-9)
 
+    def test_infinite_target_factors_leading_coefficient(self):
+        # P(inf) as a scalar evaluation has no finite entry; at the point
+        # (1, 0) the homogeneous evaluation is A_m
+        p = gen_random_pep(6, 2, seed=3)
+        M = lu_preconditioner(p, complex(np.inf, 0.0))
+        b = np.ones(6, dtype=complex)
+        np.testing.assert_allclose(p.coeffs[2] @ M.solve(b), b, rtol=1e-9,
+                                   atol=1e-9)
+
     def test_singular_target_warns_and_regularizes(self):
         A = np.diag([0.0, 1.0, 2.0]).astype(complex)
         with pytest.warns(UserWarning, match="exactly singular"):
@@ -215,12 +224,6 @@ class TestNullVector:
         Z = np.diag([1.0, 2.0, 3.0]).astype(complex)
         with pytest.raises(NullVectorError):
             null_vector(Z, tol=1e-8, seed=2)
-
-    def test_callable_interface_with_explicit_solver(self):
-        Z = np.diag([1e-14, 1.0, 2.0]).astype(complex)
-        lu = linsolve._direct_solver(Z)
-        y = null_vector(Z, tol=1e-10, solve=lu, seed=3)
-        assert np.linalg.norm(Z @ y) <= 1e-10
 
 
 class TestLeftEigenvector:

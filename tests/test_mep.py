@@ -241,10 +241,23 @@ class TestSubspaceSolver:
             MepOptions(target=(0.0,)).validate(m)
         with pytest.raises(ValueError):
             MepOptions(target=(0, 0), mindim=4, maxdim=6).validate(m)
-        with pytest.raises(ValueError):
-            MepOptions(target=(0, 0), mindim=3, maxdim=5,
-                       criterion="old").validate(m)
         MepOptions(target=(0, 0), mindim=3, maxdim=5).validate(m)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite(self, tol):
+        m = gen_random_mep((5, 7), seed=24)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            MepOptions(target=(0, 0), mindim=3, maxdim=5,
+                       tol=tol).validate(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     complex(0.0, math.nan),
+                                     complex(-math.inf, 0.0)])
+    def test_target_must_be_finite(self, bad):
+        m = gen_random_mep((5, 7), seed=24)
+        for target in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="target components"):
+                MepOptions(target=target, mindim=3, maxdim=5).validate(m)
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_inner_steps_positive(self, steps):
@@ -373,8 +386,8 @@ class TestSubspaceSolver:
 
 
 class TestInverseIterationStart:
-    """Without v0s each factor space starts from LU(T_i(target))^-1 times
-    a seeded random vector: one inverse-iteration step at the target."""
+    """Each factor space starts from LU(T_i(target))^-1 times a seeded
+    random vector: one inverse-iteration step at the target."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_pair_found_early(self, seed):
@@ -389,7 +402,7 @@ class TestInverseIterationStart:
         assert first <= 10
 
     @staticmethod
-    def _spied_solve(monkeypatch, v0s=None):
+    def _spied_solve(monkeypatch):
         # solves per preconditioner, and those made before the first
         # extraction, and the first vector appended to each space
         precs, starts, before = [], [], []
@@ -423,7 +436,7 @@ class TestInverseIterationStart:
         m = gen_random_mep((6, 7), seed=30)
         mep_subspace_solve(m, MepOptions(
             target=(0.0, 0.0), num_pairs=1, tol=1e-9, mindim=3, maxdim=5,
-            max_outer=3, seed=3), v0s=v0s)
+            max_outer=3, seed=3))
         return m, precs, starts, before
 
     def test_default_start_solves_each_factor_once(self, monkeypatch):
@@ -438,16 +451,6 @@ class TestInverseIterationStart:
             np.testing.assert_allclose(
                 mepmod.to_dense_matvec(m, i, (0.0, 0.0), t), rho,
                 rtol=1e-10, atol=1e-10 * np.linalg.norm(rho))
-
-    def test_explicit_start_used_unchanged(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        v0s = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-               for n in (6, 7)]
-        _, _, starts, before = self._spied_solve(monkeypatch, [
-            v.copy() for v in v0s])
-        assert before == [0, 0]
-        for t, v in zip(starts, v0s):
-            np.testing.assert_array_equal(t, v)
 
 
 class TestNoPassFallback:
