@@ -24,8 +24,9 @@ from . import homogeneous, jdsolver, linsolve, mep, problems, selection
 from .homogeneous import ProjectivePoint, chordal_distance, from_scalar
 from .jdsolver import (
     JDOptions,
-    JDResult,
     OracleCapError,
+    Record,
+    SolveResult,
     jd_solve,
     oracle_all_eigenpairs,
     oracle_eigenvalues,
@@ -34,7 +35,6 @@ from .mep import (
     LinearMep2,
     LinearMep3,
     MepOptions,
-    MepResult,
     dense_solve,
     gen_fourpoint_bvp,
     gen_random_mep,
@@ -70,15 +70,15 @@ __all__ = [
     "chordal_distance",
     "from_scalar",
     "JDOptions",
-    "JDResult",
     "OracleCapError",
+    "Record",
+    "SolveResult",
     "jd_solve",
     "oracle_all_eigenpairs",
     "oracle_eigenvalues",
     "LinearMep2",
     "LinearMep3",
     "MepOptions",
-    "MepResult",
     "dense_solve",
     "gen_fourpoint_bvp",
     "gen_random_mep",

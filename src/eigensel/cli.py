@@ -20,6 +20,7 @@ error.  EIGENSEL_ORACLE_CAP bounds the dense-oracle dimension for verify.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -30,6 +31,7 @@ import numpy as np
 from . import homogeneous as hom
 from . import jdsolver, mmio, problems
 from . import mep as mepmod
+from .selection import _value_to_json
 
 __all__ = ["main", "build_parser", "cmd_generate", "cmd_solve",
            "cmd_verify", "cmd_report"]
@@ -124,32 +126,38 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _value_payload(v):
-    if isinstance(v, hom.ProjectivePoint):
-        v = v.to_scalar()
-    if isinstance(v, float) and math.isinf(v):
-        return {"inf": True}
-    v = complex(v)
-    return [v.real, v.imag]
+def _to_json(v):
+    """A value, or each value of a parameter tuple, as written to JSON."""
+    if isinstance(v, tuple):
+        return [_value_to_json(x) for x in v]
+    return _value_to_json(v)
 
 
-def _finish_solve(args, manifest, opts, res, settings, problem, config,
-                  pairs, blocked, nparams):
+def _options(cls, args, **kwargs):
+    """JDOptions or MepOptions from the solve arguments they share."""
+    return cls(num_pairs=args.num_pairs, tol=args.tol, mindim=args.mindim,
+               maxdim=args.maxdim, max_outer=args.max_outer,
+               inner_steps=args.inner_steps, eta=args.eta, seed=args.seed,
+               **kwargs)
+
+
+def _finish_solve(args, manifest, opts, res, settings, problem, pairs,
+                  nparams):
     """Write results.json, convergence.csv and table.txt for a solver run,
     print the table and return the exit code."""
     payload = {
         "problem": {"manifest": os.path.abspath(args.problem),
                     "kind": manifest.get("kind"), **problem},
-        "config": config,
+        "config": {**dataclasses.asdict(opts), "target": _to_json(opts.target)},
         "pairs": pairs,
-        "blocked": blocked,
+        "blocked": [_to_json(b) for b in res.blocked],
         "outer_iterations": res.outer_iterations,
         "truncated": bool(res.truncated),
     }
     mmio.write_json(os.path.join(args.out, "results.json"), payload)
     mmio.write_convergence_csv(os.path.join(args.out, "convergence.csv"),
                                res.records, nparams=nparams)
-    table = mmio.format_table(res.registry, nparams=nparams)
+    table = mmio.format_table(pairs, nparams=nparams)
     body = (f"kind={manifest.get('kind')} {settings} "
             f"pairs={len(res.registry)}/{opts.num_pairs}\n{table}\n")
     with open(os.path.join(args.out, "table.txt"), "w") as f:
@@ -160,33 +168,14 @@ def _finish_solve(args, manifest, opts, res, settings, problem, config,
 
 
 def _solve_pep(prob, args, manifest):
-    opts = jdsolver.JDOptions(
-        target=complex(args.target[0], args.target[1]),
-        num_pairs=args.num_pairs,
-        tol=args.tol,
-        mindim=args.mindim,
-        maxdim=args.maxdim,
-        max_outer=args.max_outer,
-        inner_steps=args.inner_steps,
-        eta=args.eta,
-        mode=args.mode,
-        seed=args.seed,
-    )
+    opts = _options(jdsolver.JDOptions, args, target=complex(*args.target),
+                    mode=args.mode)
     res = jdsolver.jd_solve(prob, opts)
-    config = {
-        "target": [opts.target.real, opts.target.imag],
-        "num_pairs": opts.num_pairs, "tol": opts.tol,
-        "mindim": opts.mindim, "maxdim": opts.maxdim,
-        "max_outer": opts.max_outer, "inner_steps": opts.inner_steps,
-        "eta": opts.eta, "mode": opts.mode, "seed": opts.seed,
-    }
     return _finish_solve(
         args, manifest, opts, res,
         settings=f"eta={opts.eta} mode={opts.mode} target={opts.target}",
         problem={"problem_type": "pep"},
-        config=config,
         pairs=[t.to_dict() for t in res.registry],
-        blocked=[_value_payload(b) for b in res.blocked],
         nparams=1,
     )
 
@@ -194,25 +183,8 @@ def _solve_pep(prob, args, manifest):
 def _solve_mep(m, args, manifest):
     targets = [complex(*args.target), complex(*args.target_mu),
                complex(*args.target_nu)][: m.nparams]
-    opts = mepmod.MepOptions(
-        target=tuple(targets),
-        num_pairs=args.num_pairs,
-        tol=args.tol,
-        mindim=args.mindim,
-        maxdim=args.maxdim,
-        max_outer=args.max_outer,
-        inner_steps=args.inner_steps,
-        eta=args.eta,
-        seed=args.seed,
-    )
+    opts = _options(mepmod.MepOptions, args, target=tuple(targets))
     res = mepmod.mep_subspace_solve(m, opts)
-    config = {
-        "target": [[t.real, t.imag] for t in targets],
-        "num_pairs": opts.num_pairs, "tol": opts.tol,
-        "mindim": opts.mindim, "maxdim": opts.maxdim,
-        "max_outer": opts.max_outer, "inner_steps": opts.inner_steps,
-        "eta": opts.eta, "seed": opts.seed,
-    }
     pairs = []
     for t in res.registry:
         d = t.to_dict()
@@ -222,9 +194,7 @@ def _solve_mep(m, args, manifest):
         args, manifest, opts, res,
         settings=f"eta={opts.eta} target={opts.target}",
         problem={"problem_type": "mep", "nparams": m.nparams},
-        config=config,
         pairs=pairs,
-        blocked=[[_value_payload(v) for v in vals] for vals in res.blocked],
         nparams=m.nparams,
     )
 

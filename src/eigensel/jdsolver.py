@@ -54,7 +54,7 @@ import itertools
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -73,8 +73,8 @@ from .selection import (
 
 __all__ = [
     "JDOptions",
-    "JDResult",
-    "ConvergenceRecord",
+    "SolveResult",
+    "Record",
     "SearchSpace",
     "OracleCapError",
     "OraclePair",
@@ -172,23 +172,39 @@ class JDOptions:
 
 
 @dataclass
-class ConvergenceRecord:
-    """One solver event: Ritz value, residual, criterion value, event tag."""
+class Record:
+    """One solver event: the pick's value, relative residual, criterion
+    value and event tag.
+
+    value is a scalar for jd_solve (math.inf marks the infinite value) and
+    a parameter tuple for mep_subspace_solve; None when an iteration had no
+    candidates.
+    """
 
     iteration: int
-    theta: complex  # math.inf (as complex(inf, 0)) marks the infinite value
+    value: object
     residual: float
     criterion: float
     event: str
 
 
 @dataclass
-class JDResult:
+class SolveResult:
+    """What jd_solve and mep_subspace_solve return.
+
+    registry : registered triplets in order of detection.
+    records : one Record per event.
+    outer_iterations : outer iterations run.
+    truncated : the budget ran out before num_pairs were registered.
+    blocked : values excluded from later extraction: converged picks whose
+        registration failed and converged duplicates the criterion rejected.
+    """
+
     registry: list
     records: list
     outer_iterations: int
     truncated: bool
-    blocked: list = field(default_factory=list)
+    blocked: list
 
 
 class SearchSpace:
@@ -512,21 +528,27 @@ def _is_blocked(theta, blocked, tol):
 _Pick = namedtuple("_Pick", "value res converged crit vecs rs")
 
 
-def _selection_loop(opts, spaces, ts, registry, blocked, cutoff, randn, *,
+def _selection_loop(opts, spaces, ts, registry, blocked, randn, *,
                     extract, is_blocked, criteria, no_pass, pair, register,
-                    correct, record, basis):
+                    correct, basis):
     """The outer iteration that jd_solve and mep_subspace_solve share.
 
     The hooks: extract() gives the candidates in target order and
     is_blocked(cand) drops a blocked one; criteria(cands) scores them,
-    read by index, passing below cutoff; no_pass(crits) is the pick when
+    read by index, passing below opts.eta; no_pass(crits) is the pick when
     none passes; pair(cand, crit, first) makes the pick a _Pick;
     register(pick, outer) registers it and returns the value and residual
     to record; correct(pick) yields one correction per space; basis(cand)
     gives one coefficient vector per space; randn(n) draws a random
-    vector; record(outer, value, residual, criterion, event) logs an
-    event.  Returns (outer iterations, truncated).
+    vector.  Returns the SolveResult, with one Record per event; a
+    projective value is recorded as its scalar.
     """
+    records = []
+
+    def record(value, res, crit, event):
+        if isinstance(value, hom.ProjectivePoint):
+            value = value.to_scalar()  # math.inf for the infinite point
+        records.append(Record(outer, value, res, crit, event))
 
     def fresh_start():
         """Random expansions, after restarting full spaces on a random one."""
@@ -537,7 +559,7 @@ def _selection_loop(opts, spaces, ts, registry, blocked, cutoff, randn, *,
 
     def passing():
         """Indices of passing candidates in target order, read lazily."""
-        return (j for j in range(len(cands)) if crits[j] < cutoff)
+        return (j for j in range(len(cands)) if crits[j] < opts.eta)
 
     def select():
         """(index of the pick, whether it passes)."""
@@ -552,7 +574,7 @@ def _selection_loop(opts, spaces, ts, registry, blocked, cutoff, randn, *,
 
         cands = [c for c in extract() if not is_blocked(c)]
         if not cands:
-            record(outer, None, math.nan, math.nan, "no_candidates")
+            record(None, math.nan, math.nan, "no_candidates")
             ts = fresh_start()
             continue
         crits = criteria(cands)
@@ -562,21 +584,21 @@ def _selection_loop(opts, spaces, ts, registry, blocked, cutoff, randn, *,
         if p.converged:
             if sel_ok:
                 try:
-                    record(outer, *register(p, outer), p.crit, "converged")
+                    record(*register(p, outer), p.crit, "converged")
                 except (DefectiveEigenvalueError,
                         linsolve.NullVectorError) as exc:
                     blocked.append(p.value)
-                    record(outer, p.value, p.res, p.crit,
+                    record(p.value, p.res, p.crit,
                            f"rejected: {type(exc).__name__}")
                 if len(registry) >= opts.num_pairs:
-                    return outer, False
+                    return SolveResult(registry, records, outer, False,
+                                       blocked)
             else:
                 # converged in residual yet rejected by the criterion: a
                 # re-found (or defective) eigenvalue; block it so extraction
                 # stops offering it, otherwise the run livelocks on it
                 blocked.append(p.value)
-                record(outer, p.value, p.res, p.crit,
-                       "rejected: converged duplicate")
+                record(p.value, p.res, p.crit, "rejected: converged duplicate")
             # pick again among the other candidates against the updated
             # registry (a just-registered value now fails by construction)
             cands = [c for j, c in enumerate(cands)
@@ -588,7 +610,7 @@ def _selection_loop(opts, spaces, ts, registry, blocked, cutoff, randn, *,
             chosen = select()[0]
             p = pair(cands[chosen], crits[chosen], False)
         else:
-            record(outer, p.value, p.res, p.crit,
+            record(p.value, p.res, p.crit,
                    "expanded" if sel_ok else "no-pass")
 
         # restarts drop dependent kept directions, so several spaces need
@@ -600,12 +622,12 @@ def _selection_loop(opts, spaces, ts, registry, blocked, cutoff, randn, *,
             for i, sp in enumerate(spaces):
                 sp.restart((basis(cands[j])[i] for j in keep),
                            limit=opts.mindim)
-            record(outer, p.value, p.res, p.crit, "restarted")
+            record(p.value, p.res, p.crit, "restarted")
 
         ts = [t if np.all(np.isfinite(t)) and np.linalg.norm(t) > 0.0
               else randn(sp.n) for sp, t in zip(spaces, correct(p))]
 
-    return outer, True
+    return SolveResult(registry, records, outer, True, blocked)
 
 
 def jd_solve(problem, options=None):
@@ -621,10 +643,7 @@ def jd_solve(problem, options=None):
 
     Returns
     -------
-    JDResult with the registry of EigenTriplet (in order of detection), the
-    per-iteration ConvergenceRecord list, the outer iteration count, the
-    truncation flag (budget exhausted before num_pairs converged), and the
-    blocked values.
+    SolveResult whose registry holds EigenTriplet in order of detection.
     """
     opts = options if options is not None else JDOptions()
     n = problem.n
@@ -635,7 +654,6 @@ def jd_solve(problem, options=None):
     M = linsolve.lu_preconditioner(problem, opts.target)
 
     registry = []
-    records = []
     blocked = []
 
     def _rand(k):
@@ -666,20 +684,12 @@ def jd_solve(problem, options=None):
                  residual=p.res, iteration=outer)
         return p.value, p.res
 
-    def _record(outer, theta, res, crit, event):
-        if theta is None:
-            theta = math.nan
-        elif isinstance(theta, hom.ProjectivePoint):
-            theta = theta.to_scalar()  # math.inf for the infinite point
-        records.append(ConvergenceRecord(outer, complex(theta), res, crit,
-                                         event))
-
     t = _rand(n)
     space = SearchSpace(problem.coeffs, rng)
     target = hom.from_scalar(complex(opts.target)) if homo else complex(opts.target)
 
-    outer, truncated = _selection_loop(
-        opts, [space], [t], registry, blocked, opts.eta, _rand,
+    return _selection_loop(
+        opts, [space], [t], registry, blocked, _rand,
         extract=lambda: extract_candidates(space, target, opts.mode),
         is_blocked=lambda c: _is_blocked(c.theta, blocked, _BLOCKED_TOL),
         criteria=lambda cands: candidate_criteria(problem, registry, space.V,
@@ -691,10 +701,8 @@ def jd_solve(problem, options=None):
         correct=lambda p: [linsolve.projected_correction_solve(
             problem, p.value, p.vecs[0], p.rs[0], steps=opts.inner_steps,
             M=M)],
-        record=_record,
         basis=lambda c: [c.v],
     )
-    return JDResult(registry, records, outer, truncated, blocked)
 
 
 class OracleCapError(ValueError):

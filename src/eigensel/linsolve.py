@@ -374,21 +374,17 @@ def _direct_solver(Z):
         lambda c: sla.lu_solve(lu, c, check_finite=False), lu[0].dtype, b)
 
 
-# Seeded random right-hand sides null_vector tries after its first pass.
+# Seeded random right-hand sides null_vector solves against.
 _NULL_RETRIES = 3
 
 
 def null_vector(Z, tol, seed=0):
     """Approximate null vector of an (almost) singular matrix Z.
 
-    First pass: for a seeded random unit y0, b = Z y0 / ||Z y0||, solve
-    Z x = b, and normalize the difference y = (x - y0)/||x - y0||; the
-    inexactness of the solve surfaces the near-null direction.  When the
-    solve is (close to) exact, x is parallel to y0 and the difference
-    carries no null information, so on failure of the ||Z y|| <= tol check
-    the retries solve against _NULL_RETRIES fresh seeded random right-hand
-    sides instead (inverse iteration, whose solutions are dominated by the
-    null direction).  The best candidate over all attempts is kept.
+    Solves Z y = b for up to _NULL_RETRIES seeded random right-hand sides
+    b, one step of inverse iteration each: the solution is dominated
+    by the near-null direction, so the first normalized y with
+    ||Z y|| <= tol is returned.
 
     Z is a dense array or a sparse matrix; every solve goes through one LU
     factorization of it.  tol is an absolute bound on ||Z y|| for unit y;
@@ -398,37 +394,17 @@ def null_vector(Z, tol, seed=0):
     solve = _direct_solver(Z)
     n = Z.shape[0]
     rng = np.random.default_rng(seed)
-
-    def _random_unit():
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return w / np.linalg.norm(w)
-
-    y0 = _random_unit()
-    best = None
     best_res = np.inf
-
-    def _consider(y):
-        nonlocal best, best_res
+    for _ in range(_NULL_RETRIES):
+        y = solve(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         ny = np.linalg.norm(y)
         if ny == 0.0 or not np.isfinite(ny):
-            return False
+            continue
         y = y / ny
         res = np.linalg.norm(Z @ y)
-        if res < best_res:
-            best, best_res = y, res
-        return res <= tol
-
-    b = Z @ y0
-    nb = np.linalg.norm(b)
-    if nb <= tol:
-        return y0  # y0 is already a null vector at the requested level
-    if _consider(solve(b / nb) - y0):
-        return best
-
-    # Retries: fresh right-hand sides, null direction amplified by Z^{-1}.
-    for _ in range(_NULL_RETRIES):
-        if _consider(solve(_random_unit())):
-            return best
+        if res <= tol:
+            return y
+        best_res = min(best_res, res)
 
     raise NullVectorError(
         f"null vector stagnated: best ||Z y|| = {best_res:.3e} > tol = {tol:.3e}"

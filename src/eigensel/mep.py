@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,15 +52,13 @@ from .jdsolver import (
     _selection_loop,
 )
 from .problems import norm1, to_dense
-from .selection import DefectiveEigenvalueError
+from .selection import DefectiveEigenvalueError, _value_to_json, _vec_to_dict
 
 __all__ = [
     "LinearMep2",
     "LinearMep3",
     "MepOptions",
     "MepTriplet",
-    "MepRecord",
-    "MepResult",
     "MepOraclePair",
     "delta_operators",
     "dense_solve",
@@ -522,19 +520,15 @@ class MepTriplet:
     found_iteration: int = -1
 
     def to_dict(self):
+        """JSON-ready dict, encoded as EigenTriplet.to_dict does."""
         return {
-            "values": [[v.real, v.imag] for v in map(complex, self.values)],
-            "xs": [_vec_pair(x) for x in self.xs],
-            "ys": [_vec_pair(y) for y in self.ys],
-            "denom": [self.denom.real, self.denom.imag],
-            "residual": self.residual,
+            "values": [_value_to_json(v) for v in self.values],
+            "xs": [_vec_to_dict(x) for x in self.xs],
+            "ys": [_vec_to_dict(y) for y in self.ys],
+            "denom": _value_to_json(self.denom),
+            "residual": None if math.isnan(self.residual) else self.residual,
             "found_iteration": self.found_iteration,
         }
-
-
-def _vec_pair(v):
-    v = np.asarray(v)
-    return {"re": v.real.tolist(), "im": v.imag.tolist()}
 
 
 def _cached_rows(mep, triplet):
@@ -678,26 +672,6 @@ class MepOptions:
             raise ValueError("target components must be finite")
 
 
-@dataclass
-class MepRecord:
-    """One solver event: parameter tuple, worst residual, criterion, tag."""
-
-    iteration: int
-    values: tuple
-    residual: float
-    criterion: float
-    event: str
-
-
-@dataclass
-class MepResult:
-    registry: list
-    records: list
-    outer_iterations: int
-    truncated: bool
-    blocked: list = field(default_factory=list)
-
-
 def _values_dist(a, b):
     return math.sqrt(sum(abs(complex(x) - complex(y)) ** 2
                          for x, y in zip(a, b)))
@@ -773,7 +747,8 @@ def mep_subspace_solve(mep, options=None):
     runs in complex arithmetic throughout.  Left vectors, criterion values,
     tensor_rayleigh and the registered triplets are complex in both cases.
 
-    Returns MepResult; registry entries are MepTriplet in detection order.
+    Returns the SolveResult of jdsolver's selection loop; registry
+    entries are MepTriplet in detection order.
     """
     opts = options if options is not None else MepOptions()
     opts.validate(mep)
@@ -796,7 +771,6 @@ def mep_subspace_solve(mep, options=None):
     ts = [precs[i].solve(_randn(mep.dims[i])) for i in range(N)]
 
     registry = []
-    records = []
     blocked = []
 
     def _extract():
@@ -850,12 +824,8 @@ def mep_subspace_solve(mep, options=None):
                      iteration=outer)
         return values, res
 
-    def _record(outer, values, res, crit, event):
-        values = () if values is None else values
-        records.append(MepRecord(outer, values, res, crit, event))
-
-    outer, truncated = _selection_loop(
-        opts, spaces, ts, registry, blocked, opts.eta, _randn,
+    return _selection_loop(
+        opts, spaces, ts, registry, blocked, _randn,
         extract=_extract,
         is_blocked=lambda c: bool(blocked) and _mep_blocked(
             c.values, blocked, _BLOCKED_TOL),
@@ -868,10 +838,8 @@ def mep_subspace_solve(mep, options=None):
         correct=lambda p: (_factor_correction(
             mep.t_eval(i, p.value), p.vecs[i], p.rs[i], opts.inner_steps,
             precs[i]) for i in range(N)),
-        record=_record,
         basis=lambda c: c.xs,
     )
-    return MepResult(registry, records, outer, truncated, blocked)
 
 
 def to_dense_matvec(mep, i, values, v):

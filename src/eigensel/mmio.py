@@ -14,8 +14,9 @@ Manifest layout (format "eigensel-manifest-v1"):
     matrices      name -> relative path entries for every stored matrix
     kind, params  generator provenance, enough to regenerate
 
-Complex scalars in JSON are always [re, im] pairs; an infinite eigenvalue
-is {"inf": true} and carries its projective point alongside.
+Complex scalars in JSON are always [re, im] pairs; an infinite value (an
+eigenvalue, which carries its projective point alongside, or a target) is
+{"inf": true}.  No NaN or Infinity token is written.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from . import homogeneous as hom
 from .mep import LinearMep2, LinearMep3
 from .problems import PolyProblem
 
@@ -170,8 +170,10 @@ def load_problem(manifest_path):
 
 
 def write_json(path, payload):
+    """Write payload as strict JSON: a NaN or infinite float raises
+    ValueError instead of becoming a bare NaN or Infinity token."""
     with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
+        json.dump(payload, f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
 
 
@@ -180,25 +182,25 @@ def read_json(path):
         return json.load(f)
 
 
-def _theta_parts(theta):
-    """(re, im) of a record's value; projective points go through to_scalar,
-    the infinite one becomes (inf, 0)."""
-    if theta is None:
+def _value_parts(value):
+    """(re, im) of one recorded value: (nan, nan) for None, (inf, 0) for
+    math.inf."""
+    if value is None:
         return math.nan, math.nan
-    if isinstance(theta, hom.ProjectivePoint):
-        theta = theta.to_scalar()
-    if isinstance(theta, float) and math.isinf(theta):
+    if isinstance(value, float) and math.isinf(value):
         return math.inf, 0.0
-    theta = complex(theta)
-    return theta.real, theta.imag
+    value = complex(value)
+    return value.real, value.imag
 
 
 def write_convergence_csv(path, records, nparams=1):
-    """Convergence history as CSV.
+    """Convergence history of jdsolver Records as CSV.
 
     One-parameter header: iteration, re_theta, im_theta, residual,
     criterion, event.  Multiparameter runs widen the value columns to
-    re_lambda, im_lambda, re_mu, im_mu (and re_nu, im_nu for three).
+    re_lambda, im_lambda, re_mu, im_mu (and re_nu, im_nu for three).  A
+    scalar value is read as a 1-tuple; a record without a value writes nan
+    in every value column.
     """
     if nparams == 1:
         value_cols = ["re_theta", "im_theta"]
@@ -210,35 +212,29 @@ def write_convergence_csv(path, records, nparams=1):
         w.writerow(["iteration"] + value_cols + ["residual", "criterion",
                                                  "event"])
         for r in records:
-            if nparams == 1:
-                parts = list(_theta_parts(r.theta))
-            else:
-                vals = list(r.values) + [math.nan] * (nparams - len(r.values))
-                parts = []
-                for v in vals:
-                    re, im = _theta_parts(v)
-                    parts.extend([re, im])
+            vals = r.value if isinstance(r.value, tuple) else (r.value,)
+            parts = [x for v in vals for x in _value_parts(v)]
+            parts += [math.nan] * (2 * nparams - len(parts))
             w.writerow([r.iteration] + [repr(float(x)) for x in parts]
                        + [repr(float(r.residual)), repr(float(r.criterion)),
                           r.event])
 
 
 def _fmt_value(value):
+    """A JSON-encoded value: [re, im], or {"inf": true}."""
     if isinstance(value, dict):
-        if value.get("inf"):
-            return "inf"
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        value = complex(value[0], value[1])
-    if isinstance(value, float) and math.isinf(value):
         return "inf"
-    v = complex(value)
+    v = complex(*value)
     return f"{v.real:+.10e} {v.imag:+.10e}j"
+
+
+def _nan_if_none(x):
+    return math.nan if x is None else float(x)
 
 
 def format_table(pairs, nparams=1):
     """Human-readable registry table: value(s), residual, condition number,
-    iteration of detection.  pairs are triplet objects or their dicts."""
+    iteration of detection.  pairs are the pair dicts of results.json."""
     lines = []
     if nparams == 1:
         head = f"{'eigenvalue':>38} {'residual':>10} {'cond':>10} {'iter':>5}"
@@ -247,24 +243,11 @@ def format_table(pairs, nparams=1):
                 f"{'cond':>10} {'iter':>5}")
     lines.append(head)
     lines.append("-" * len(head))
-    for t in pairs:
-        if isinstance(t, dict):
-            residual = t.get("residual")
-            cond = t.get("cond")
-            it = t.get("found_iteration", -1)
-            if nparams == 1:
-                vals = [t["value"]]
-            else:
-                vals = [complex(*v) for v in t["values"]]
-        else:
-            residual = t.residual
-            cond = getattr(t, "cond", math.nan)
-            it = t.found_iteration
-            vals = [t.value] if nparams == 1 else list(t.values)
-        residual = math.nan if residual is None else float(residual)
-        cond = math.nan if cond is None else float(cond)
+    for d in pairs:
+        vals = [d["value"]] if nparams == 1 else d["values"]
         shown = " ".join(f"{_fmt_value(v):>38}" for v in vals)
-        lines.append(
-            f"{shown} {residual:>10.2e} {cond:>10.2e} {it:>5d}"
-        )
+        residual = _nan_if_none(d.get("residual"))
+        cond = _nan_if_none(d.get("cond"))
+        it = d.get("found_iteration", -1)
+        lines.append(f"{shown} {residual:>10.2e} {cond:>10.2e} {it:>5d}")
     return "\n".join(lines)

@@ -34,6 +34,7 @@ registry entries and candidates.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -99,16 +100,13 @@ class EigenTriplet:
     point: Optional[hom.ProjectivePoint] = None
 
     def to_dict(self):
-        """JSON-ready dict; vectors as split re/im arrays."""
-        if isinstance(self.value, float) and math.isinf(self.value):
-            value = {"inf": True}
-        else:
-            value = [complex(self.value).real, complex(self.value).imag]
+        """JSON-ready dict: scalars through _value_to_json, vectors as split
+        re/im arrays, a NaN cond or residual as None."""
         d = {
-            "value": value,
+            "value": _value_to_json(self.value),
             "right": _vec_to_dict(self.right),
             "left": _vec_to_dict(self.left),
-            "denom": [complex(self.denom).real, complex(self.denom).imag],
+            "denom": _value_to_json(self.denom),
             "cond": None if math.isnan(self.cond) else float(self.cond),
             "residual": None if math.isnan(self.residual) else float(self.residual),
             "found_iteration": int(self.found_iteration),
@@ -119,6 +117,17 @@ class EigenTriplet:
                 "beta": [self.point.beta.real, self.point.beta.imag],
             }
         return d
+
+
+def _value_to_json(v):
+    """[re, im] of a scalar, {"inf": true} when it is infinite; a
+    ProjectivePoint is read as its scalar."""
+    if isinstance(v, hom.ProjectivePoint):
+        v = v.to_scalar()
+    v = complex(v)
+    if cmath.isinf(v):
+        return {"inf": True}
+    return [v.real, v.imag]
 
 
 def _vec_to_dict(v):

@@ -185,6 +185,29 @@ class TestSolveAndVerify:
             ])
         assert rc in (cli.EXIT_OK, cli.EXIT_TRUNCATED)
 
+    def test_infinite_target_is_strict_json(self, tmp_path, capsys):
+        # Python's json would read a bare Infinity token; strict parsers
+        # reject it, so the infinite target must be written as {"inf": true}
+        d = tmp_path / "g"
+        assert cli.main(["generate", "gyroscopic", "--n", "30", "--seed", "0",
+                         "--out", str(d)]) == 0
+        outdir = tmp_path / "run"
+        with pytest.warns(UserWarning, match="exactly singular"):
+            cli.main(["solve", "--problem", str(d), "--out", str(outdir),
+                      "--target", "inf", "0", "--mode", "homogeneous",
+                      "--num-pairs", "3", "--seed", "0"])
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        results = json.loads((outdir / "results.json").read_text(),
+                             parse_constant=reject)
+        assert results["config"]["target"] == {"inf": True}
+        assert cli.main(["report", "--results",
+                         str(outdir / "results.json")]) == 0
+        with pytest.raises(ValueError):
+            mmio.write_json(str(tmp_path / "nan.json"), {"x": math.nan})
+
     def test_config_records_every_option(self, tmp_path):
         _, outdir = solve_fixture(tmp_path)
         config = json.loads((outdir / "results.json").read_text())["config"]
@@ -365,6 +388,40 @@ class TestMepFlow:
                        "--results", str(outdir / "results.json")])
         assert rc == 0
         assert "SKIPPED" in capsys.readouterr().out
+
+
+def _solve_table(capsys, argv):
+    """The table a solve prints, without its settings line."""
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_OK
+    return capsys.readouterr().out.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("kind", ["standard", "homogeneous", "mep"])
+def test_report_prints_the_table_solve_printed(tmp_path, capsys, kind):
+    d, outdir = tmp_path / "p", tmp_path / "run"
+    if kind == "standard":
+        problem = mmio.save_pep(str(d), diag_qep(), "diag_qep", {})
+        opts = ["--num-pairs", "4", "--tol", "1e-10", "--mindim", "1",
+                "--maxdim", "2", "--max-outer", "60"]
+    elif kind == "homogeneous":
+        assert cli.main(["generate", "gyroscopic", "--n", "16",
+                         "--out", str(d)]) == 0
+        problem = str(d)
+        opts = ["--target", "0", "5", "--mode", "homogeneous", "--num-pairs",
+                "2", "--tol", "1e-8", "--mindim", "6", "--maxdim", "12"]
+    else:
+        assert cli.main(["generate", "fourpoint", "--grid", "8",
+                         "--out", str(d)]) == 0
+        problem = str(d)
+        opts = ["--num-pairs", "2", "--mindim", "4", "--maxdim", "7",
+                "--max-outer", "120"]
+    table = _solve_table(capsys, ["solve", "--problem", problem,
+                                  "--out", str(outdir)] + opts)
+    assert len(table.splitlines()) >= 3
+    assert cli.main(["report", "--results",
+                     str(outdir / "results.json")]) == cli.EXIT_OK
+    assert "\n" + table in capsys.readouterr().out
 
 
 class TestReportAndErrors:

@@ -22,6 +22,8 @@ from eigensel import linsolve
 from eigensel.jdsolver import (
     JDOptions,
     OracleCapError,
+    Record,
+    SolveResult,
     extract_candidates,
     jd_solve,
     oracle_all_eigenpairs,
@@ -274,6 +276,8 @@ class TestRandomQep:
         p = gen_random_pep(12, 2, seed=7)
         res = jd_solve(p, JDOptions(target=0.0, num_pairs=3, tol=1e-9,
                                     mindim=6, maxdim=12, seed=7))
+        assert isinstance(res, SolveResult)
+        assert all(isinstance(r, Record) for r in res.records)
         assert len(res.records) >= res.outer_iterations
         known = {"expanded", "no-pass", "no_candidates", "converged",
                  "restarted"}
@@ -651,7 +655,7 @@ class TestNoPassFallback:
         nopass = [r for r in res.records if r.event == "no-pass"]
         assert nopass
         for r in nopass:
-            assert (r.theta, r.criterion) in picks
+            assert (r.value, r.criterion) in picks
 
 
 class TestRestartRecords:
@@ -687,7 +691,7 @@ class TestRestartRecords:
         restarted = [r for r in res.records if r.event == "restarted"]
         assert any(r.iteration in converged for r in restarted)
         for r in restarted:
-            assert (r.theta, r.criterion) in scored[r.iteration - 1]
+            assert (r.value, r.criterion) in scored[r.iteration - 1]
 
 
 _PINNED_PEP_SOLVE = """

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from eigensel import mep as mepmod
+from eigensel.jdsolver import Record, SolveResult
 from eigensel.mep import _values_dist as dist
 from eigensel.mep import (
     DefectiveEigenvalueError,
@@ -328,12 +329,17 @@ class TestSubspaceSolver:
         assert set(d) == {"values", "xs", "ys", "denom", "residual",
                           "found_iteration"}
         assert len(d["values"]) == 2 and len(d["values"][0]) == 2
+        # a NaN residual is written as null, as EigenTriplet.to_dict does
+        blank = mepmod.MepTriplet((1.0, 2.0), [], [], 1.0).to_dict()
+        assert blank["residual"] is None
 
     def test_convergence_records_form_a_history(self):
         m = gen_random_mep((8, 7), seed=2)
         res = mep_subspace_solve(m, MepOptions(
             target=(0.0, 0.0), num_pairs=3, tol=1e-9, mindim=3, maxdim=6,
             max_outer=120))
+        assert isinstance(res, SolveResult)
+        assert all(isinstance(r, Record) for r in res.records)
         assert len(res.records) >= res.outer_iterations
         known = {"expanded", "no-pass", "no_candidates", "converged",
                  "restarted"}
@@ -382,7 +388,7 @@ class TestSubspaceSolver:
         restarted = [r for r in res.records if r.event == "restarted"]
         assert any(r.iteration in converged for r in restarted)
         for r in restarted:
-            assert (r.values, r.criterion) in scored[r.iteration - 1]
+            assert (r.value, r.criterion) in scored[r.iteration - 1]
 
 
 class TestInverseIterationStart:
@@ -615,6 +621,7 @@ class TestProjectedExtraction:
         assert res.truncated and res.outer_iterations == 5
         assert res.registry == []
         assert [r.event for r in res.records] == ["no_candidates"] * 5
+        assert all(r.value is None for r in res.records)
 
     def test_sparse_factors_match_dense_run(self, monkeypatch):
         m = gen_fourpoint_bvp(12)
