@@ -29,7 +29,6 @@ from .jdsolver import (
     SolveResult,
     jd_solve,
     oracle_all_eigenpairs,
-    oracle_eigenvalues,
 )
 from .mep import (
     LinearMep2,
@@ -75,7 +74,6 @@ __all__ = [
     "SolveResult",
     "jd_solve",
     "oracle_all_eigenpairs",
-    "oracle_eigenvalues",
     "LinearMep2",
     "LinearMep3",
     "MepOptions",

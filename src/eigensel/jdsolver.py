@@ -40,11 +40,7 @@ homogeneous evaluation, and the correction equation uses the homogeneous
 derivative operator.
 
 oracle_all_eigenpairs provides the dense brute-force reference (all 2n / mn
-eigenvalues with left and right eigenvectors) used by the tests;
-oracle_eigenvalues gives the same spectrum without vectors and is what
-``eigensel verify`` matches returned pairs against: one standard eigensolve of
-the monic companion matrix when the leading coefficient is well conditioned,
-eigenvalue-only QZ on the pencil otherwise.
+eigenvalues with left and right eigenvectors) used by the tests.
 """
 
 from __future__ import annotations
@@ -82,21 +78,10 @@ __all__ = [
     "extract_candidates",
     "jd_solve",
     "oracle_all_eigenpairs",
-    "oracle_eigenvalues",
 ]
 
 ORACLE_CAP_ENV = "EIGENSEL_ORACLE_CAP"
 DEFAULT_ORACLE_CAP = 2000
-
-# oracle_eigenvalues solves the monic companion matrix, A_m^{-1} times the
-# last block row, when A_m's reciprocal condition estimate is at least this,
-# and runs QZ on the pencil otherwise.  Forming A_m^{-1} A_j costs a relative
-# error of about eps / rcond, here at most sqrt(eps) ~ 1.5e-8, two orders
-# below verify's default mismatch tolerance of 1e-6; a leading coefficient
-# that is singular to working precision (rcond near eps, like the singular
-# mass of a gyroscopic problem) falls far below the cut and keeps QZ, which
-# represents its infinite eigenvalues as beta = 0.
-MONIC_MIN_RCOND = math.sqrt(np.finfo(float).eps)
 
 # |beta| below this on a normalized projected eigenvalue counts as infinite.
 _BETA_CUT = 1e-12
@@ -729,27 +714,6 @@ def _oracle_cap(cap):
     return int(env) if env else DEFAULT_ORACLE_CAP
 
 
-def _oracle_coeffs(problem, cap):
-    """Dense complex coefficients of a PEP; OracleCapError past the cap."""
-    n = problem.n
-    m = problem.degree
-    limit = _oracle_cap(cap)
-    if m * n > limit:
-        raise OracleCapError(
-            f"linearization dimension {m * n} exceeds the oracle cap {limit}; "
-            f"raise {ORACLE_CAP_ENV} to override"
-        )
-    return [to_dense(A).astype(complex) for A in problem.coeffs]
-
-
-def _oracle_point(a, b):
-    """Canonical point of a QZ eigenvalue (a, b); None if it is degenerate."""
-    nrm = math.hypot(abs(a), abs(b))
-    if nrm < 1e-280 or not np.isfinite(nrm):
-        return None
-    return hom.scale_canonical(hom.ProjectivePoint(a / nrm, b / nrm))
-
-
 def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
     """All eigenpairs of a PEP by dense linearization (brute force).
 
@@ -766,15 +730,23 @@ def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
     """
     n = problem.n
     m = problem.degree
-    X, Y = _linearize(_oracle_coeffs(problem, cap))
+    limit = _oracle_cap(cap)
+    if m * n > limit:
+        raise OracleCapError(
+            f"linearization dimension {m * n} exceeds the oracle cap {limit}; "
+            f"raise {ORACLE_CAP_ENV} to override"
+        )
+    X, Y = _linearize([to_dense(A).astype(complex) for A in problem.coeffs])
     ab, VL, VR = sla.eig(X, Y, left=True, right=True, homogeneous_eigvals=True,
                          check_finite=False)
     alphas, betas = ab
     pairs = []
     for j in range(alphas.shape[0]):
-        pt = _oracle_point(alphas[j], betas[j])
-        if pt is None:
-            continue
+        a, b = alphas[j], betas[j]
+        nrm = math.hypot(abs(a), abs(b))
+        if nrm < 1e-280 or not np.isfinite(nrm):
+            continue  # degenerate: alpha = beta = 0 or not finite
+        pt = hom.scale_canonical(hom.ProjectivePoint(a / nrm, b / nrm))
         x = _best_block(VR[:, j], n)
         y = VL[(m - 1) * n:, j]
         ny = np.linalg.norm(y)
@@ -797,38 +769,3 @@ def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
                        ok=(rr <= residual_rtol and rl <= residual_rtol))
         )
     return pairs
-
-
-def oracle_eigenvalues(problem, cap=None):
-    """All eigenvalues of a PEP by dense linearization, without vectors.
-
-    The spectrum of the same companion pencil (X, Y) as
-    oracle_all_eigenpairs, with no Q, Z accumulation and no eigenvectors.
-    A_m is factored once; if it is nonsingular with a reciprocal 1-norm
-    condition estimate of at least MONIC_MIN_RCOND, the last block row of X
-    is overwritten by A_m^{-1} X[-n:] and one standard eigensolve of that
-    monic companion matrix gives the points (lambda, 1) (Tisseur &
-    Meerbergen, SIAM Review 43, 2001).  Otherwise, for a singular or nearly
-    singular A_m (and with it every problem with infinite eigenvalues),
-    eigenvalue-only QZ runs on (X, Y).  Returns canonical ProjectivePoints
-    in the order of the eigensolver used, which differs between the
-    branches.  Degenerate values (alpha = beta = 0 or not finite) are
-    dropped as there; unlike there, a value is not dropped for a vanishing
-    left vector block, which has none.  Same cap.
-    """
-    coeffs = _oracle_coeffs(problem, cap)
-    lead = coeffs[-1]
-    getrf, gecon, getrs = sla.get_lapack_funcs(("getrf", "gecon", "getrs"),
-                                               (lead,))
-    lu, piv, info = getrf(lead)
-    if info == 0 and gecon(lu, np.linalg.norm(lead, 1))[0] >= MONIC_MIN_RCOND:
-        X = _companion(coeffs[:-1])
-        n = lead.shape[0]
-        X[-n:] = getrs(lu, piv, X[-n:])[0]
-        pencil = (X,)
-    else:
-        pencil = _linearize(coeffs)
-    alphas, betas = sla.eigvals(*pencil, homogeneous_eigvals=True,
-                                check_finite=False)
-    points = (_oracle_point(a, b) for a, b in zip(alphas, betas))
-    return [pt for pt in points if pt is not None]

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +11,15 @@ import numpy as np
 import pytest
 
 from eigensel import cli, jdsolver, mmio
+from eigensel.homogeneous import chordal_distance, from_scalar
+from eigensel.jdsolver import JDOptions, jd_solve
 from eigensel.mep import LinearMep3, MepOptions
-from eigensel.problems import PolyProblem
+from eigensel.problems import (
+    PolyProblem,
+    gen_example_2x2,
+    gen_gyroscopic,
+    gen_random_pep,
+)
 
 
 def diag_qep():
@@ -287,34 +293,6 @@ class TestVerifyPep:
         assert rc == 4
         assert "verdict: FAIL" in out
 
-    def test_monic_and_qz_oracles_agree(self, tmp_path, capsys, monkeypatch):
-        d = tmp_path / "pep"
-        assert cli.main(["generate", "random_pep", "--n", "20", "--seed", "3",
-                         "--out", str(d)]) == 0
-        manifest = str(d / "manifest.json")
-        outdir = tmp_path / "run"
-        assert cli.main(["solve", "--problem", manifest, "--out", str(outdir),
-                         "--num-pairs", "3", "--mindim", "4",
-                         "--maxdim", "10"]) == 0
-        path = outdir / "results.json"
-        rc, monic = self.verify(manifest, path, capsys)
-        monkeypatch.setattr(jdsolver, "MONIC_MIN_RCOND", math.inf)
-        qz_rc, qz = self.verify(manifest, path, capsys)
-        assert rc == qz_rc == 0
-        assert "verdict: PASS" in monic
-        monic, qz = monic.splitlines(), qz.splitlines()
-        assert len(monic) == len(qz) == 6  # 3 pairs, duplicates, max, verdict
-        # only the oracle index j of "pair k: ... -> oracle j" may differ
-        for ln, qz_ln in zip(monic, qz):
-            words = re.sub(r"oracle \d+", "", ln).split()
-            qz_words = re.sub(r"oracle \d+", "", qz_ln).split()
-            assert len(words) == len(qz_words)
-            for word, qz_word in zip(words, qz_words):
-                try:
-                    assert abs(float(word) - float(qz_word)) <= 1e-12
-                except ValueError:
-                    assert word == qz_word
-
     def test_cap_skip(self, tmp_path, capsys, monkeypatch):
         d = tmp_path / "pep"
         assert cli.main(["generate", "random_pep", "--n", "6",
@@ -323,11 +301,114 @@ class TestVerifyPep:
         outdir = tmp_path / "run"
         cli.main(["solve", "--problem", manifest, "--out", str(outdir),
                   "--num-pairs", "1", "--mindim", "2", "--maxdim", "6"])
+        # the local check forms no spectrum, so the dense cap does not apply
         monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "10")
         rc, out = self.verify(manifest, outdir / "results.json", capsys)
         assert rc == 0
-        assert "SKIPPED" in out
-        assert "verdict" not in out
+        assert "SKIPPED" not in out
+        assert "verdict: PASS" in out
+
+    def test_value_between_two_eigenvalues_fails(self, tmp_path, capsys):
+        manifest, outdir = solve_fixture(tmp_path)
+        # chordally equidistant from the eigenvalues 1 and 2:
+        # |s - 1| / sqrt(2) = |s - 2| / sqrt(5)
+        s = (2 * math.sqrt(2) + math.sqrt(5)) / (math.sqrt(2) + math.sqrt(5))
+
+        def move(pair):
+            pair["value"] = [s, 0.0]
+
+        rc, out = self.verify(manifest, self.edit_first_pair(outdir, move),
+                              capsys)
+        assert rc == 4
+        assert "pair 0: value 1.38743+0j -> oracle 0 mismatch inf" in out
+        assert "verdict: FAIL" in out
+
+    @pytest.mark.parametrize("rtol", ["nan", "inf", "-1"])
+    def test_meaningless_rtol_exits_5(self, tmp_path, capsys, rtol):
+        manifest, outdir = solve_fixture(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["verify", "--problem", manifest, "--results",
+                       str(outdir / "results.json"), f"--rtol={rtol}"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_IO
+        assert "error: --rtol must be finite and nonnegative" in captured.err
+        assert "verdict" not in captured.out
+
+
+def _singular_lead_qep():
+    """A quadratic whose leading coefficient has rank 5 of 8: three
+    infinite eigenvalues."""
+    rng = np.random.default_rng(5)
+    A0, A1 = (rng.standard_normal((8, 8)) for _ in range(2))
+    return PolyProblem([A0, A1, np.diag([1.0] * 5 + [0.0] * 3)])
+
+
+class TestLocalEigenvalue:
+    """verify's local check finds the dense oracle's eigenvalue nearest
+    each returned pair."""
+
+    @pytest.mark.parametrize("problem, opts", [
+        (gen_random_pep(12, 1, seed=1), {}),
+        (gen_random_pep(12, 2, seed=2), {}),
+        (gen_random_pep(12, 3, seed=3), {}),
+        (gen_random_pep(12, 2, seed=0, symmetric=True), {}),
+        (_singular_lead_qep(), {"target": math.inf, "mode": "homogeneous"}),
+        (gen_gyroscopic(30), {"target": 5j, "mode": "homogeneous",
+                              "mindim": 6, "maxdim": 12, "tol": 1e-8}),
+        (gen_gyroscopic(30), {"target": math.inf, "mode": "homogeneous",
+                              "mindim": 6, "maxdim": 12, "tol": 1e-8}),
+    ], ids=["degree1", "degree2", "degree3", "symmetric", "singular_lead",
+            "gyroscopic", "gyroscopic_inf"])
+    @pytest.mark.filterwarnings("ignore:matrix is exactly singular")
+    def test_matches_oracle(self, problem, opts):
+        opts = JDOptions(**{"num_pairs": 3, "mindim": 3, "maxdim": 8,
+                            "tol": 1e-10, **opts})
+        registry = jd_solve(problem, opts).registry
+        assert len(registry) == 3
+        if opts.target == math.inf:
+            assert any(t.point.is_infinite for t in registry)
+        oracle = [o.point for o in jdsolver.oracle_all_eigenpairs(problem)]
+        for t in registry:
+            point = cli._result_point(t.to_dict())
+            local = cli._local_eigenvalue(problem, point)
+            nearest = min(oracle, key=lambda q: chordal_distance(point, q))
+            if opts.mode == "homogeneous":
+                assert chordal_distance(local, nearest) <= 1e-10
+            else:
+                lam = nearest.to_scalar()
+                assert abs(local.to_scalar() - lam) <= 1e-10 * max(1, abs(lam))
+
+    def test_shift_away_from_the_eigenvalue(self):
+        # a shift 2% of the gap away: estimates must settle on the exact
+        # eigenvalue, not just stay at the shift
+        problem = gen_random_pep(8, 2, seed=4)
+        lams = [o.value for o in jdsolver.oracle_all_eigenpairs(problem)]
+        for k, lam in enumerate(lams):
+            gap = min(abs(lam - mu) for i, mu in enumerate(lams) if i != k)
+            shift = lam + 0.02 * gap * complex(math.cos(k), math.sin(k))
+            local = cli._local_eigenvalue(problem, from_scalar(shift))
+            assert abs(local.to_scalar() - lam) <= 1e-10 * max(1, abs(lam))
+
+    def test_infinite_shift_with_a_regular_leading_coefficient(self):
+        # A_2 is nonsingular, so infinity is no eigenvalue; the nearest one
+        # is the single eigenvalue of modulus about 1e10
+        rng = np.random.default_rng(7)
+        A0, A1 = (rng.standard_normal((8, 8)) for _ in range(2))
+        problem = PolyProblem([A0, A1, np.diag([1.0] * 7 + [1e-10])])
+        oracle = [o.point for o in jdsolver.oracle_all_eigenpairs(problem)]
+        ref = from_scalar(math.inf)
+        nearest = min(oracle, key=lambda q: chordal_distance(ref, q))
+        assert 0.0 < chordal_distance(ref, nearest) < 1e-9
+        local = cli._local_eigenvalue(problem, ref)
+        assert chordal_distance(local, nearest) <= 1e-15
+
+    def test_close_eigenvalues_and_an_exact_shift(self):
+        # eigenvalues 0 and 1e-6; P(0) is exactly singular
+        problem = gen_example_2x2(1e-6, 1e-3)
+        for lam in (0.0, 1e-6, 1e-12, 1e-6 + 1e-15):
+            local = cli._local_eigenvalue(problem, from_scalar(lam))
+            nearest = 0.0 if lam < 5e-7 else 1e-6
+            assert abs(local.to_scalar() - nearest) <= 1e-16
 
 
 class TestMepFlow:

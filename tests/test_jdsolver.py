@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.optimize import linear_sum_assignment
 
 from eigensel import homogeneous as hom
 from eigensel import jdsolver
@@ -27,7 +26,6 @@ from eigensel.jdsolver import (
     extract_candidates,
     jd_solve,
     oracle_all_eigenpairs,
-    oracle_eigenvalues,
 )
 from eigensel.problems import (
     PolyProblem,
@@ -83,79 +81,6 @@ class TestOracle:
             oracle_all_eigenpairs(p)
         monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "50")
         assert len(oracle_all_eigenpairs(p)) == 12
-
-
-class TestOracleEigenvalues:
-    """The eigenvalue-only oracle gives the two-sided oracle's points.
-
-    The monic branch (a standard eigensolve) returns them in another order
-    than QZ, so the points are compared after a one-to-one matching.
-    """
-
-    @staticmethod
-    def assert_same_points(p):
-        full = [o.point for o in oracle_all_eigenpairs(p)]
-        points = oracle_eigenvalues(p)
-        assert len(points) == len(full)
-        dist = np.array([[hom.chordal_distance(q, o) for o in full]
-                         for q in points])
-        rows, cols = linear_sum_assignment(dist)
-        assert dist[rows, cols].max() <= 1e-12
-        for i, j in zip(rows, cols):
-            assert points[i].is_infinite == full[j].is_infinite
-        return points
-
-    @pytest.fixture
-    def eigvals_args(self, monkeypatch):
-        """Number of matrices of each sla.eigvals call: 1 for the monic
-        branch, 2 for QZ on the pencil."""
-        calls = []
-        eigvals = sla.eigvals
-
-        def spy(*args, **kwargs):
-            calls.append(len(args) + ("b" in kwargs))
-            return eigvals(*args, **kwargs)
-
-        monkeypatch.setattr(jdsolver.sla, "eigvals", spy)
-        return calls
-
-    def test_random_quadratic(self, eigvals_args):
-        points = self.assert_same_points(gen_random_pep(40, 2, seed=3))
-        assert len(points) == 80
-        # one standard eigensolve and no QZ on the pencil (X, Y)
-        assert eigvals_args == [1]
-
-    def test_cubic(self, eigvals_args):
-        points = self.assert_same_points(gen_random_pep(12, 3, seed=4))
-        assert len(points) == 36
-        assert eigvals_args == [1]
-
-    def test_degree_one_pencil(self, eigvals_args):
-        points = self.assert_same_points(gen_random_pep(15, 1, seed=6))
-        assert len(points) == 15
-        assert eigvals_args == [1]
-
-    def test_singular_leading_coefficient(self, eigvals_args):
-        rng = np.random.default_rng(5)
-        A0, A1 = (rng.standard_normal((8, 8)) for _ in range(2))
-        A2 = np.diag([1.0] * 5 + [0.0] * 3)
-        points = self.assert_same_points(PolyProblem([A0, A1, A2]))
-        assert sum(q.is_infinite for q in points) == 3
-        assert eigvals_args == [2]
-
-    def test_nearly_singular_leading_coefficient_keeps_qz(self, eigvals_args):
-        rng = np.random.default_rng(7)
-        A0, A1 = (rng.standard_normal((8, 8)) for _ in range(2))
-        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
-        A2 = Q @ np.diag([1.0] * 7 + [1e-10]) @ Q.T
-        assert 1.0 / np.linalg.cond(A2, 1) < jdsolver.MONIC_MIN_RCOND
-        points = self.assert_same_points(PolyProblem([A0, A1, A2]))
-        assert len(points) == 16
-        assert eigvals_args == [2]
-
-    def test_cap_enforced(self):
-        with pytest.raises(OracleCapError):
-            oracle_eigenvalues(gen_random_pep(6, 2, seed=2), cap=5)
 
 
 class TestOptions:
