@@ -50,7 +50,6 @@ from .problems import (
 from .selection import (
     DefectiveEigenvalueError,
     EigenTriplet,
-    SelectionConfig,
     criterion_value,
     passes,
     register,
@@ -89,7 +88,6 @@ __all__ = [
     "gen_random_pep",
     "DefectiveEigenvalueError",
     "EigenTriplet",
-    "SelectionConfig",
     "criterion_value",
     "passes",
     "register",

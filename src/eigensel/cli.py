@@ -27,8 +27,6 @@ import sys
 from collections import Counter
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import homogeneous as hom
 from . import jdsolver, linsolve, mmio, problems
@@ -292,17 +290,13 @@ def _local_eigenvalue(problem, point):
     s = hom.scale_canonical(point)
     coeffs, (a, b) = problem.coeffs, (s.alpha, s.beta)
     Z = hom.hom_eval(problem, s)
-    factors, singular = linsolve._lu_factor(Z)
+    solve, singular = linsolve._direct_solver(Z)
     if singular:
         return s
     swap = abs(a) > abs(b)
     if swap:
         coeffs, (a, b) = coeffs[::-1], (b, a)
     m, n = len(coeffs) - 1, Z.shape[0]
-    # linsolve._direct_solver solves the same way but hides the singularity
-    lu_solve = (factors.solve if sp.issparse(Z) else
-                lambda c: sla.lu_solve(factors, c, check_finite=False))
-    dtype = np.result_type(Z.dtype, float)
     powers = (a / b) ** np.arange(m)
 
     def apply(z):
@@ -314,7 +308,7 @@ def _local_eigenvalue(problem, point):
         rhs = coeffs[m] @ (z[-1] + a * u[-1])
         for j in range(1, m):
             rhs += b * (coeffs[j] @ u[j])
-        y0 = -b ** (m - 1) * linsolve._field_solve(lu_solve, dtype, rhs)
+        y0 = -b ** (m - 1) * solve(rhs)
         return (np.conj(a) * z + powers[:, None] * y0 + u) / b
 
     rng = np.random.default_rng(0)

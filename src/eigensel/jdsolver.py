@@ -61,7 +61,6 @@ from .problems import to_dense
 from .selection import (
     CandidatePair,
     DefectiveEigenvalueError,
-    SelectionConfig,
     candidate_criteria,
     criterion_value,  # unused here; perfbench traces the name in this module
     register,
@@ -132,21 +131,7 @@ class JDOptions:
     seed: int = 0
 
     def validate(self, n):
-        if not 1 <= self.mindim < self.maxdim <= n:
-            raise ValueError(
-                f"need 1 <= mindim < maxdim <= n, got ({self.mindim}, "
-                f"{self.maxdim}) with n = {n}"
-            )
-        if self.num_pairs < 1:
-            raise ValueError("num_pairs must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be positive")
-        if self.inner_steps < 1:
-            raise ValueError("inner_steps must be positive")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie strictly between 0 and 1")
+        _check_shared(self, n, "n")
         if self.mode not in ("standard", "homogeneous"):
             raise ValueError("mode must be 'standard' or 'homogeneous'")
         target = complex(self.target)
@@ -154,6 +139,21 @@ class JDOptions:
                                    and self.mode == "standard"):
             raise ValueError("target must be finite (homogeneous mode also "
                              "takes an infinite one)")
+
+
+def _check_shared(opts, n, size):
+    """Check the fields JDOptions and MepOptions share; n bounds maxdim and
+    is named size in the message."""
+    if not 1 <= opts.mindim < opts.maxdim <= n:
+        raise ValueError(f"need 1 <= mindim < maxdim <= {size} = {n}, got "
+                         f"({opts.mindim}, {opts.maxdim})")
+    for name in ("num_pairs", "max_outer", "inner_steps"):
+        if getattr(opts, name) < 1:
+            raise ValueError(f"{name} must be positive")
+    if not 0.0 < opts.tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+    if not 0.0 < opts.eta < 1.0:
+        raise ValueError("eta must lie strictly between 0 and 1")
 
 
 @dataclass
@@ -498,13 +498,16 @@ def _unit(v):
     return v / nv if nv > 0 else v
 
 
-def _is_blocked(theta, blocked, tol):
-    """True when theta lies within tol of a blocked value: chordally in
-    homogeneous mode, where every value is a projective point, and relative
-    to the blocked value in standard mode."""
-    if isinstance(theta, hom.ProjectivePoint):
-        return any(hom.chordal_distance(theta, b) <= tol for b in blocked)
-    return any(abs(theta - b) <= tol * max(1.0, abs(b)) for b in blocked)
+def _is_blocked(value, blocked, tol):
+    """True when value lies within tol of a blocked value: chordally for a
+    projective point, and relative to the blocked value for a scalar, or
+    in the Euclidean norm for a parameter tuple."""
+    if isinstance(value, hom.ProjectivePoint):
+        return any(hom.chordal_distance(value, b) <= tol for b in blocked)
+    if isinstance(value, tuple):
+        return any(np.linalg.norm(np.subtract(value, b))
+                   <= tol * max(1.0, np.linalg.norm(b)) for b in blocked)
+    return any(abs(value - b) <= tol * max(1.0, abs(b)) for b in blocked)
 
 
 # A pick of the selection loop: value and relative residual as recorded and
@@ -634,7 +637,6 @@ def jd_solve(problem, options=None):
     n = problem.n
     opts.validate(n)
     rng = np.random.default_rng(opts.seed)
-    config = SelectionConfig(eta=opts.eta, mode=opts.mode)
     homo = opts.mode == "homogeneous"
     M = linsolve.lu_preconditioner(problem, opts.target)
 
@@ -665,8 +667,8 @@ def jd_solve(problem, options=None):
             problem, p.value, rtol=max(_LEFT_RTOL, 10.0 * p.res),
             seed=opts.seed + 1000 + len(registry) + len(blocked),
         )
-        register(problem, registry, p.value, p.vecs[0], y, config,
-                 residual=p.res, iteration=outer)
+        register(problem, registry, p.value, p.vecs[0], y, residual=p.res,
+                 iteration=outer)
         return p.value, p.res
 
     t = _rand(n)
@@ -678,7 +680,7 @@ def jd_solve(problem, options=None):
         extract=lambda: extract_candidates(space, target, opts.mode),
         is_blocked=lambda c: _is_blocked(c.theta, blocked, _BLOCKED_TOL),
         criteria=lambda cands: candidate_criteria(problem, registry, space.V,
-                                                  cands, config),
+                                                  cands),
         # the pair least like a registered one; it cannot be registered
         no_pass=lambda crits: int(np.argmin(crits)),
         pair=_pair,

@@ -5,17 +5,18 @@ operators may be dense arrays, sparse matrices, or matvec callables, and the
 preconditioner is an LU factorization of the problem evaluated at the target
 (applied as the explicit inverse formed from it when the matrix is dense).
 
-The three consumers are
+The consumers are
 
-* the Jacobi-Davidson correction equation
-  (I - p v* / (v* p)) P(theta) t = -r with t orthogonal to v and
-  p = P'(theta) v, solved by a few steps of right-preconditioned GMRES
-  whose Arnoldi basis is orthogonalized by classical Gram-Schmidt run
-  twice (CGS2), a few BLAS-2 calls per step.
-  P(theta) is formed once per solve and applied in every GMRES step;
-  P'(theta) is never formed, p is the weighted sum of the products A_i v;
+* the Jacobi-Davidson correction equation of both solvers, solved by
+  _correction_solve with a few steps of right-preconditioned GMRES whose
+  Arnoldi basis is orthogonalized by classical Gram-Schmidt run twice
+  (CGS2), a few BLAS-2 calls per step: jd_solve's through
+  projected_correction_solve, which never forms P'(theta), and
+  mep_subspace_solve's once per factor;
 * null vectors of (almost) singular matrices, used to obtain left
-  eigenvectors from F(lam)* y = 0 once a right eigenpair has converged;
+  eigenvectors from F(lam)* y = 0 once a right eigenpair has converged,
+  and the direct solves of verify's local eigenvalue check
+  (_direct_solver);
 * plain preconditioned solves.
 """
 
@@ -308,23 +309,34 @@ def _theta_eval(problem, theta):
 def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6):
     """Jacobi-Davidson correction equation at a Ritz pair (theta, v).
 
-    Solves (I - p v*/(v* p)) F(theta) t = -r for t orthogonal to v, where
-    p = F'(theta) v, with at most `steps` GMRES iterations.  F(theta) is
-    formed once and applied in every GMRES step; p is sum_i w[i] (A_i v)
-    with the derivative weights w (dd_weights at (theta, theta), or
-    hom_D_weights), so F'(theta) is never formed.  The
-    preconditioner M (an LU at the target) is wrapped with the standard
-    projected form so preconditioned iterates stay in the complement of v.
-    In homogeneous mode theta is a ProjectivePoint and the homogeneous
-    evaluation/derivative take the roles of F(theta) and F'(theta).
-
-    Degenerate v* F'(theta) v (below 1e-14 of ||p||) falls back to a plain
-    preconditioned residual step, projected against v.
+    Forms F(theta) and p = F'(theta) v and solves the projected equation by
+    _correction_solve, in complex arithmetic.  p is sum_i w[i] (A_i v) with
+    the derivative weights w (dd_weights at (theta, theta), or
+    hom_D_weights), so F'(theta) is never formed.  In homogeneous mode
+    theta is a ProjectivePoint and the homogeneous evaluation/derivative
+    take the roles of F(theta) and F'(theta).
     """
     v = np.asarray(v, dtype=complex)
     r = np.asarray(r, dtype=complex)
     Fmat, dw, _ = _theta_eval(problem, theta)
     p = _weighted_matvec(problem.coeffs, dw, v)
+    return _correction_solve(Fmat, p, v, r, steps, M, tol)
+
+
+def _correction_solve(F, p, v, r, steps, M, tol=1e-6):
+    """Solve (I - p v*/(v* p)) F (I - v v*) t = -(I - p v*/(v* p)) r, t
+    orthogonal to the unit vector v, by at most `steps` GMRES iterations.
+
+    jd_solve's correction takes p = F'(theta) v; mep_subspace_solve's
+    per-factor correction takes F = T_i(lam) and p = v, the orthogonal
+    projector on both sides.  F is applied in every GMRES step.  The
+    preconditioner M (an LU at the target) is wrapped with the projected
+    form M^-1 - q v* M^-1 / (v* q), q = M^-1 p, so preconditioned iterates
+    stay in the complement of v, unless |v* q| <= 1e-14 ||q||.  A
+    degenerate v* p (below 1e-14 of ||p||) falls back to a plain
+    preconditioned residual step, projected against v.  The arithmetic
+    follows the input: real F, p, v, r and M give a real t.
+    """
     vp = np.vdot(v, p)
     psolve = _as_psolve(M)
 
@@ -336,42 +348,41 @@ def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6)
         return _proj_v(t)
 
     def op(s):
-        w = Fmat @ _proj_v(s)
+        w = F @ _proj_v(s)
         return w - p * (np.vdot(v, w) / vp)
 
     rhs = -(r - p * (np.vdot(v, r) / vp))
 
-    Mproj = None
+    Mproj = psolve
     if psolve is not None:
         q = psolve(p)
         vq = np.vdot(v, q)
-        if abs(vq) > 1e-300:
+        if abs(vq) > 1e-14 * np.linalg.norm(q):
             def Mproj(z):
                 w = psolve(z)
                 return w - q * (np.vdot(v, w) / vq)
-        else:
-            Mproj = psolve
 
     t, _, _ = gmres(op, rhs, tol=tol, maxiter=steps, M=Mproj)
     return _proj_v(t)
 
 
 def _direct_solver(Z):
-    """Factor Z once and return b -> Z^{-1} b (regularized if singular).
+    """(b -> Z^{-1} b, regularized) from one LU of Z.
 
     Solves go through the LU factors: a null vector takes only a few solves
     per factorization, and inverse iteration near a singular matrix wants
     triangular solves, not an explicit inverse.  Exact singularity is the
     expected case here (null vectors of singular matrices are the whole
     purpose), so it is regularized without the warning LuPreconditioner
-    emits.
+    emits; regularized says whether it was.
     """
-    lu, _ = _lu_factor(Z)
+    lu, regularized = _lu_factor(Z)
     if sp.issparse(Z):
         dtype = np.result_type(Z.dtype, float)
-        return lambda b: _field_solve(lu.solve, dtype, b)
-    return lambda b: _field_solve(
-        lambda c: sla.lu_solve(lu, c, check_finite=False), lu[0].dtype, b)
+        return lambda b: _field_solve(lu.solve, dtype, b), regularized
+    return (lambda b: _field_solve(
+        lambda c: sla.lu_solve(lu, c, check_finite=False), lu[0].dtype, b),
+        regularized)
 
 
 # Seeded random right-hand sides null_vector solves against.
@@ -391,7 +402,7 @@ def null_vector(Z, tol, seed=0):
     pick it relative to the scale of Z.  Raises NullVectorError if no
     attempt reaches tol.
     """
-    solve = _direct_solver(Z)
+    solve, _ = _direct_solver(Z)
     n = Z.shape[0]
     rng = np.random.default_rng(seed)
     best_res = np.inf

@@ -21,8 +21,13 @@ criterion.
 dense_solve is the brute-force oracle on the full tensor space: a
 two-sided QZ of the Delta pencil with left and right factor vectors and
 residual self-checks.  mep_subspace_solve runs jdsolver's selection loop
-with one search space per factor and the sandwich criterion steering it;
-its projected extraction is one-sided, a standard eigenproblem of
+with one search space per factor and the sandwich criterion steering it.
+Every part it does not need of its own is the one-parameter one: the
+per-factor correction is linsolve's projected correction with p = v
+(Hochstenbach, Kosir & Plestenjak, SIMAX 26, 2005), and the blocked
+test, the cached adjoint rows of registered triplets, the simplicity
+floor and the option checks are shared with jd_solve.  Its projected
+extraction is one-sided, a standard eigenproblem of
 Delta_0^{-1} sum_j c_j Delta_j whose tuples are put in target order as
 arrays.  Factor vectors are split off only for the candidates the
 selection walk reads, as fibers of the projected eigenvector: at a simple
@@ -47,12 +52,20 @@ from .jdsolver import (
     _LEFT_RTOL,
     OracleCapError,
     SearchSpace,
+    _check_shared,
+    _is_blocked,
     _oracle_cap,
     _Pick,
     _selection_loop,
 )
 from .problems import norm1, to_dense
-from .selection import DefectiveEigenvalueError, _value_to_json, _vec_to_dict
+from .selection import (
+    SIMPLICITY_RTOL,
+    DefectiveEigenvalueError,
+    _adjoint_rows,
+    _value_to_json,
+    _vec_to_dict,
+)
 
 __all__ = [
     "LinearMep2",
@@ -531,19 +544,6 @@ class MepTriplet:
         }
 
 
-def _cached_rows(mep, triplet):
-    rows = getattr(triplet, "_rows", None)
-    if rows is None:
-        rows = []
-        for i in range(mep.nfactors):
-            yi = triplet.ys[i]
-            rows.append(
-                np.array([np.conj(P.conj().T @ yi) for P in mep.param_mats(i)])
-            )
-        triplet._rows = rows
-    return rows
-
-
 def mep_criterion(mep, registry, vs, variant="new"):
     """Normalized overlap of a candidate with the registered triplets.
 
@@ -564,8 +564,9 @@ def mep_criterion(mep, registry, vs, variant="new"):
         return 0.0
     vs = [v / np.linalg.norm(v) for v in vs]
     nums = []
+    params = [mep.param_mats(i) for i in range(mep.nfactors)]
     for t in registry:
-        rows = _cached_rows(mep, t)
+        rows = _adjoint_rows(t, zip(t.ys, params))
         S = np.array([rows[i] @ vs[i] for i in range(mep.nfactors)])
         nums.append(abs(np.linalg.det(S)))
     if variant == "strict":
@@ -591,17 +592,18 @@ def _unit(x):
 
 
 def mep_register(mep, registry, values, xs, ys, residual=math.nan,
-                 iteration=-1, simplicity_rtol=1e-12):
+                 iteration=-1):
     """Validate simplicity at (values, xs, ys) and append a MepTriplet.
 
     The denominator is the coincident sandwich (the parameter Jacobian
-    determinant); below simplicity_rtol times the natural scale the value
-    cannot anchor the criterion and DefectiveEigenvalueError is raised.
+    determinant); below selection.SIMPLICITY_RTOL times jacobian_scale the
+    value cannot anchor the criterion and DefectiveEigenvalueError is
+    raised, as selection.register does for one parameter.
     """
     xs = [_unit(np.array(x, dtype=complex)) for x in xs]
     ys = [_unit(np.array(y, dtype=complex)) for y in ys]
     denom = dd_sandwich(mep, values, values, ys, xs)
-    if abs(denom) < simplicity_rtol * jacobian_scale(mep):
+    if abs(denom) < SIMPLICITY_RTOL * jacobian_scale(mep):
         raise DefectiveEigenvalueError(
             f"parameter Jacobian {abs(denom):.3e} at {tuple(values)} is "
             f"numerically singular; the eigenvalue is not simple"
@@ -654,59 +656,9 @@ class MepOptions:
             raise ValueError(
                 f"target needs {mep.nparams} components, got {len(self.target)}"
             )
-        nmin = min(mep.dims)
-        if not 1 <= self.mindim < self.maxdim <= nmin:
-            raise ValueError(
-                f"need 1 <= mindim < maxdim <= min(dims) = {nmin}, got "
-                f"({self.mindim}, {self.maxdim})"
-            )
-        if self.num_pairs < 1 or self.max_outer < 1:
-            raise ValueError("num_pairs and max_outer must be positive")
-        if self.inner_steps < 1:
-            raise ValueError("inner_steps must be positive")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie strictly between 0 and 1")
+        _check_shared(self, min(mep.dims), "min(dims)")
         if not all(cmath.isfinite(complex(t)) for t in self.target):
             raise ValueError("target components must be finite")
-
-
-def _values_dist(a, b):
-    return math.sqrt(sum(abs(complex(x) - complex(y)) ** 2
-                         for x, y in zip(a, b)))
-
-
-def _mep_blocked(values, blocked, tol):
-    return any(_values_dist(values, b)
-               <= tol * (1.0 + _values_dist(b, [0] * len(b)))
-               for b in blocked)
-
-
-def _factor_correction(Tmat, v, r, steps, M):
-    """Symmetric projected correction (I-vv*) T (I-vv*) t = -r, t orth v."""
-
-    def proj(s):
-        return s - v * np.vdot(v, s)
-
-    def op(s):
-        return proj(Tmat @ proj(s))
-
-    psolve = None
-    if M is not None:
-        q = M.solve(v)
-        vq = np.vdot(v, q)
-        oblique = abs(vq) > 1e-14 * np.linalg.norm(q)
-
-        def psolve(z):
-            w = M.solve(z)
-            if oblique:
-                w = w - q * (np.vdot(v, w) / vq)
-            return w
-
-    rhs = -proj(r)
-    t, _, _ = linsolve.gmres(op, rhs, tol=1e-6, maxiter=steps, M=psolve)
-    return proj(t)
 
 
 def mep_subspace_solve(mep, options=None):
@@ -717,7 +669,9 @@ def mep_subspace_solve(mep, options=None):
     one-sided standard eigensolve of the projected Delta pencil (dense_solve
     stays the two-sided oracle), walks them in target order until the
     sandwich criterion accepts one, and expands every factor space with a
-    projected correction.  The loop is jdsolver's selection loop; criteria
+    projected correction: (I - v v*) T_i(lam) (I - v v*) t = -r_i, t
+    orthogonal to the unit factor vector v, which is jd_solve's correction
+    solve (linsolve._correction_solve) with p = v.  The loop is jdsolver's selection loop; criteria
     are computed on their first read, and when none passes the nearest
     candidate is taken.  A pair converges when all factor residuals meet
     the relative tolerance and the criterion passes; its left factor vectors
@@ -827,17 +781,18 @@ def mep_subspace_solve(mep, options=None):
     return _selection_loop(
         opts, spaces, ts, registry, blocked, _randn,
         extract=_extract,
-        is_blocked=lambda c: bool(blocked) and _mep_blocked(
+        is_blocked=lambda c: bool(blocked) and _is_blocked(
             c.values, blocked, _BLOCKED_TOL),
         criteria=_criteria,
         no_pass=lambda crits: 0,
         pair=_pair,
         register=_register,
-        # a complex tuple of a real problem is corrected in complex
-        # arithmetic; its real space grows by Re t and Im t (SearchSpace)
-        correct=lambda p: (_factor_correction(
-            mep.t_eval(i, p.value), p.vecs[i], p.rs[i], opts.inner_steps,
-            precs[i]) for i in range(N)),
+        # jd_solve's correction with p = v, per factor; a complex tuple of
+        # a real problem is corrected in complex arithmetic, and its real
+        # space grows by Re t and Im t (SearchSpace)
+        correct=lambda p: (linsolve._correction_solve(
+            mep.t_eval(i, p.value), p.vecs[i], p.vecs[i], p.rs[i],
+            opts.inner_steps, precs[i]) for i in range(N)),
         basis=lambda c: c.xs,
     )
 

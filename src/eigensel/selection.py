@@ -20,9 +20,9 @@ works where eigenvectors of distinct eigenvalues (nearly) coincide.
 The registry is a plain list of EigenTriplet; criterion_value / passes /
 register are the operations on it, and candidate_criteria scores all Ritz
 pairs of a subspace method at once.  Both scalar and homogeneous
-(projective) eigenvalue representations are supported; in homogeneous mode
-the divided difference and derivative are replaced by their projective
-counterparts.
+(projective) eigenvalue representations are supported: a ProjectivePoint
+value selects the homogeneous form, in which the divided difference and
+derivative are replaced by their projective counterparts.
 
 For a polynomial the criterion needs only the rows y_i* A_k of each
 registered triplet, stacked as R.  Candidates (theta_j, V c_j) over a basis
@@ -46,7 +46,6 @@ from .problems import dd_weights, norm1
 
 __all__ = [
     "EigenTriplet",
-    "SelectionConfig",
     "CandidatePair",
     "DefectiveEigenvalueError",
     "criterion_value",
@@ -55,9 +54,10 @@ __all__ = [
     "register",
 ]
 
-# |y* F'(lam) x| below this multiple of ||F'(lam)||_1 (unit x, y) is treated
-# as a defective or multiple eigenvalue: the triplet cannot anchor the
-# criterion because its denominator carries no information.
+# |y* F'(lam) x| below this multiple of ||F'(lam)||_1 (unit x, y), or a
+# multiparameter Jacobian below this multiple of mep.jacobian_scale, is
+# treated as a defective or multiple eigenvalue: the triplet cannot anchor
+# the criterion because its denominator carries no information.
 SIMPLICITY_RTOL = 1e-12
 
 RECOMMENDED_ETA = 0.1
@@ -65,20 +65,6 @@ RECOMMENDED_ETA = 0.1
 
 class DefectiveEigenvalueError(ValueError):
     """Raised when a triplet fails the simplicity threshold at registration."""
-
-
-@dataclass
-class SelectionConfig:
-    """Selection parameters: threshold eta and value representation mode."""
-
-    eta: float = RECOMMENDED_ETA
-    mode: str = "standard"  # or "homogeneous"
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie strictly between 0 and 1")
-        if self.mode not in ("standard", "homogeneous"):
-            raise ValueError("mode must be 'standard' or 'homogeneous'")
 
 
 @dataclass
@@ -143,37 +129,37 @@ class CandidatePair:
     v: np.ndarray
 
 
-def _candidate_point(theta):
-    if isinstance(theta, hom.ProjectivePoint):
-        return theta
-    return hom.from_scalar(theta)
+def _adjoint_rows(triplet, factors):
+    """Rows y* M = conj(M^H y) for each (y, mats) of factors, one array of
+    rows per factor, cached on the triplet at the first call.
 
-
-def _left_rows(problem, triplet):
-    # cached rows y* A_k, the only quantities of the problem the criterion
-    # needs for a polynomial; m+1 inner products per tested candidate after
-    # this one-time O(m n^2)/O(m nnz) setup per registered triplet
+    They are the only quantities of the problem the criterion needs for a
+    polynomial (y the left vector, mats the coefficients A_k) or a linear
+    multiparameter problem (per factor y_i and the matrices P_ij): a few
+    inner products per tested candidate after this one-time O(n^2) or
+    O(nnz) setup per registered triplet.
+    """
     rows = getattr(triplet, "_rows", None)
     if rows is None:
-        y = triplet.left
-        rows = np.array([np.conj(A.conj().T @ y) for A in problem.coeffs])
-        triplet._rows = rows
+        rows = triplet._rows = [np.array([np.conj(M.conj().T @ y)
+                                          for M in mats])
+                                for y, mats in factors]
     return rows
 
 
-def _poly_criteria(problem, registry, G, C, thetas, mode):
+def _poly_criteria(problem, registry, G, C, thetas):
     """Criterion of the candidates (thetas[j], V C[:, j]) from G = R V.
 
-    R stacks _left_rows of the registry, so G holds y_i* A_k V in row
-    i (m+1) + k.  V is orthonormal (||V c|| = ||c||).  Returns the maximum
-    over the registry per candidate.
+    R stacks the adjoint rows of the registry, so G holds y_i* A_k V in row
+    i (m+1) + k.  V is orthonormal (||V c|| = ||c||).  ProjectivePoint
+    thetas are scored in homogeneous form.  Returns the maximum over the
+    registry per candidate.
     """
     m = problem.degree
     GC = (G @ C).reshape(len(registry), m + 1, C.shape[1])
     # w[i, j, k]: weight of A_k in F[lam_i, theta_j]
-    if mode == "homogeneous":
-        w = hom.hom_dd_weights(m, [t.point for t in registry],
-                               [_candidate_point(th) for th in thetas])
+    if isinstance(thetas[0], hom.ProjectivePoint):
+        w = hom.hom_dd_weights(m, [t.point for t in registry], thetas)
     else:
         lam = np.array([complex(t.value) for t in registry])
         theta = np.array([complex(th) for th in thetas])
@@ -185,21 +171,20 @@ def _poly_criteria(problem, registry, G, C, thetas, mode):
 
 
 def _stacked_rows(problem, registry):
-    return np.vstack([_left_rows(problem, t) for t in registry])
+    return np.vstack([_adjoint_rows(t, [(t.left, problem.coeffs)])[0]
+                      for t in registry])
 
 
-def criterion_value(problem, registry, cand, config=None):
+def criterion_value(problem, registry, cand):
     """max_i |y_i* F[lam_i, theta] v| / |denom_i| over the registry.
 
     An empty registry gives 0.0 (every candidate is new).  v is normalized
-    defensively.  In homogeneous mode the projective divided difference is
-    used with the registered point first and the candidate aligned to it.
-    For polynomials this is candidate_criteria's contraction for the basis
-    V = [v]: it runs over the cached rows y* A_k, no divided-difference
-    matrix is assembled.
+    defensively.  A ProjectivePoint theta takes the projective divided
+    difference, with the registered point first and the candidate aligned
+    to it.  For polynomials this is candidate_criteria's contraction for
+    the basis V = [v]: it runs over the cached rows y* A_k, no
+    divided-difference matrix is assembled.
     """
-    if config is None:
-        config = SelectionConfig()
     if not registry:
         return 0.0
     v = np.asarray(cand.v)
@@ -213,10 +198,10 @@ def criterion_value(problem, registry, cand, config=None):
         )
     G = _stacked_rows(problem, registry) @ v[:, None]
     return float(_poly_criteria(problem, registry, G, np.ones((1, 1)),
-                                [cand.theta], config.mode)[0])
+                                [cand.theta])[0])
 
 
-def candidate_criteria(problem, registry, V, cands, config=None):
+def candidate_criteria(problem, registry, V, cands):
     """criterion_value of every candidate (theta, V c) of a polynomial.
 
     V has orthonormal columns and cands are CandidatePair(theta, c) with c
@@ -225,43 +210,35 @@ def candidate_criteria(problem, registry, V, cands, config=None):
     the registry), so no candidate vector V c is formed.  Returns an array
     with one value per candidate, zeros for an empty registry.
     """
-    if config is None:
-        config = SelectionConfig()
     if not registry:
         return np.zeros(len(cands))
     G = _stacked_rows(problem, registry) @ V
     C = np.column_stack([c.v for c in cands])
-    return _poly_criteria(problem, registry, G, C,
-                          [c.theta for c in cands], config.mode)
+    return _poly_criteria(problem, registry, G, C, [c.theta for c in cands])
 
 
-def passes(problem, registry, cand, config=None):
+def passes(problem, registry, cand, eta=RECOMMENDED_ETA):
     """True when the candidate is accepted as heading for a new eigenvalue."""
-    if config is None:
-        config = SelectionConfig()
-    return criterion_value(problem, registry, cand, config) < config.eta
+    return criterion_value(problem, registry, cand) < eta
 
 
-def register(problem, registry, theta, x, y, config=None, residual=math.nan,
+def register(problem, registry, theta, x, y, residual=math.nan,
              iteration=-1):
     """Normalize, validate simplicity, and append a triplet to the registry.
 
-    theta is a scalar in standard mode, a scalar or ProjectivePoint in
-    homogeneous mode.  Raises DefectiveEigenvalueError when the criterion
-    denominator |y* F'(lam) x| falls below SIMPLICITY_RTOL * ||F'(lam)||_1
-    for unit x, y: such a value cannot be used as a selection anchor.
-    Returns the new triplet.
+    theta is a scalar, or a ProjectivePoint for the homogeneous form, whose
+    triplet keeps the canonical point.  Raises DefectiveEigenvalueError
+    when the criterion denominator |y* F'(lam) x| falls below
+    SIMPLICITY_RTOL * ||F'(lam)||_1 for unit x, y: such a value cannot be
+    used as a selection anchor.  Returns the new triplet.
     """
-    if config is None:
-        config = SelectionConfig()
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     x = x / np.linalg.norm(x)
     y = y / np.linalg.norm(y)
 
-    if config.mode == "homogeneous":
-        point = _candidate_point(theta)
-        point = hom.scale_canonical(point)
+    if isinstance(theta, hom.ProjectivePoint):
+        point = hom.scale_canonical(theta)
         dF = hom.hom_D(problem, point)
         value = point.to_scalar()
     else:
@@ -280,7 +257,7 @@ def register(problem, registry, theta, x, y, config=None, residual=math.nan,
     # would otherwise warn or raise twice for the same root cause.  They
     # reuse denom, so F'(lam) (or DP) is formed once per registration.
     cond = math.nan
-    if config.mode == "homogeneous":
+    if point is not None:
         cond = hom._hom_condition(problem, point, abs(denom))
     elif hasattr(problem, "_condition"):
         cond = problem._condition(value, abs(denom))

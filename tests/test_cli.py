@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -574,3 +575,34 @@ class TestReportAndErrors:
         )
         assert proc.returncode == 0
         assert "wrote" in proc.stdout
+
+
+def _readme_commands():
+    """argv of every `eigensel` command in the README's command-line sh
+    block, with line continuations joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
+    block = next(b for b in blocks if "eigensel generate" in b)
+    lines = [ln.split("#", 1)[0].rstrip() for ln in block.splitlines()]
+    argvs = shlex.split(" ".join(lines).replace("\\ ", " "))
+    commands, argv = [], None
+    for word in argvs:
+        if word == "eigensel":
+            argv = []
+            commands.append(argv)
+        else:
+            argv.append(word)
+    return commands
+
+
+def test_readme_command_chain_passes_its_own_verify(tmp_path, monkeypatch,
+                                                     capsys):
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == ["generate", "solve", "verify",
+                                              "report"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_OK, argv
+        if argv[0] == "verify":
+            assert "verdict: PASS" in capsys.readouterr().out

@@ -548,7 +548,7 @@ class TestNoPassFallback:
                          if np.isfinite(o.value)), key=abs)[2]
         scored, solved = [], []
 
-        def candidate_criteria(problem, registry, V, cands, config):
+        def candidate_criteria(problem, registry, V, cands):
             thetas = np.array([c.theta for c in cands])
             crits = 1.0 + np.abs(thetas - anchor)  # never below eta
             scored.append((thetas, crits))
@@ -597,8 +597,8 @@ class TestRestartRecords:
             scored.append(set())
             return real_extract(space, target, mode)
 
-        def candidate_criteria(problem, registry, V, cands, config=None):
-            crits = real_criteria(problem, registry, V, cands, config)
+        def candidate_criteria(problem, registry, V, cands):
+            crits = real_criteria(problem, registry, V, cands)
             scored[-1].update(zip((complex(c.theta) for c in cands),
                                   map(float, crits)))
             return crits
@@ -811,3 +811,51 @@ class TestSnapInfinite:
         c = np.array([0.0, 1.0], dtype=complex)  # not a null vector of A2
         kept, rho = jdsolver._snap_infinite(p, space, theta, c, 1e-10, 1e-8)
         assert kept is theta and rho == 1e-10
+
+
+class TestIsBlocked:
+    """One blocked test for scalars, projective points and parameter
+    tuples."""
+
+    @staticmethod
+    def old_scalar_rule(theta, blocked, tol):
+        return any(abs(theta - b) <= tol * max(1.0, abs(b)) for b in blocked)
+
+    def test_scalar_decisions_are_the_old_expression(self):
+        # values at the radius, just inside and just outside it, around
+        # blocked values below, at and above modulus 1
+        rng = np.random.default_rng(5)
+        tol = 1e-6
+        for b in (0.0, 0.3 - 0.4j, 1.0, -7.0 + 2.0j, 3e5j):
+            for _ in range(40):
+                phase = np.exp(2j * np.pi * rng.random())
+                radius = tol * max(1.0, abs(b))
+                for scale in (1.0 - 1e-15, 1.0, 1.0 + 1e-15, 0.5, 2.0):
+                    theta = b + scale * radius * phase
+                    blocked = [b, 5.0 + 5.0j]
+                    assert (jdsolver._is_blocked(theta, blocked, tol)
+                            == self.old_scalar_rule(theta, blocked, tol))
+        assert not jdsolver._is_blocked(0.1, [], tol)
+
+    def test_points_are_chordal(self):
+        a = hom.from_scalar(2.0 + 1.0j)
+        near = hom.ProjectivePoint(a.alpha + 1e-8, a.beta)
+        far = hom.ProjectivePoint(a.alpha + 1e-4, a.beta)
+        inf = hom.ProjectivePoint(1.0, 0.0)
+        assert jdsolver._is_blocked(near, [inf, a], 1e-6)
+        assert not jdsolver._is_blocked(far, [inf, a], 1e-6)
+        assert jdsolver._is_blocked(hom.ProjectivePoint(1.0, 1e-9), [inf],
+                                    1e-6)
+
+    def test_tuples_are_relative_in_the_euclidean_norm(self):
+        # the radius is tol * max(1, ||b||): 1e-6 for a small tuple,
+        # 5e-5 for one of norm 50
+        small, large = (0.1, 0.2j), (30.0, 40.0)
+        tol = 1e-6
+        assert jdsolver._is_blocked((0.1 + 0.9e-6, 0.2j), [small], tol)
+        assert not jdsolver._is_blocked((0.1 + 1.1e-6, 0.2j), [small], tol)
+        assert jdsolver._is_blocked((30.0 + 3e-5, 40.0 + 3e-5j), [large],
+                                    tol)
+        assert not jdsolver._is_blocked((30.0 + 4e-5, 40.0 + 4e-5), [large],
+                                        tol)
+        assert not jdsolver._is_blocked(small, [], tol)

@@ -3,6 +3,8 @@
 scipy.linalg direct solves are the reference for every system solved
 iteratively here.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -423,3 +425,74 @@ class TestGivens:
         x, relres, its = gmres(A, b, tol=0.0, maxiter=2)
         want = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         np.testing.assert_allclose(relres, want, rtol=1e-12)
+
+
+def factor_correction_reference(Tmat, v, r, steps, M):
+    """The multiparameter solver's former per-factor correction, kept as the
+    reference: (I - v v*) T (I - v v*) t = -r, t orthogonal to v."""
+
+    def proj(s):
+        return s - v * np.vdot(v, s)
+
+    def op(s):
+        return proj(Tmat @ proj(s))
+
+    psolve = None
+    if M is not None:
+        q = M.solve(v)
+        vq = np.vdot(v, q)
+        oblique = abs(vq) > 1e-14 * np.linalg.norm(q)
+
+        def psolve(z):
+            w = M.solve(z)
+            if oblique:
+                w = w - q * (np.vdot(v, w) / vq)
+            return w
+
+    rhs = -proj(r)
+    t, _, _ = gmres(op, rhs, tol=1e-6, maxiter=steps, M=psolve)
+    return proj(t)
+
+
+class TestCorrectionSolve:
+    """_correction_solve with p = v is the symmetric projected correction
+    of the multiparameter solver."""
+
+    @staticmethod
+    def system(n, seed, real):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x if real else x + 1j * rng.standard_normal(shape)
+
+        T = draw(n, n) + np.sqrt(n) * np.eye(n)
+        v = draw(n)
+        return T, v / np.linalg.norm(v), draw(n), T + 0.3 * draw(n, n)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("precondition", [False, True])
+    def test_matches_the_factor_correction(self, real, precondition):
+        T, v, r, P = self.system(25, 11, real)
+        M = LuPreconditioner(P) if precondition else None
+        got = linsolve._correction_solve(T, v, v, r, 8, M)
+        want = factor_correction_reference(T, v, r, 8, M)
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert abs(np.vdot(v, got)) <= 1e-12 * np.linalg.norm(got)
+
+    def test_preconditioner_projection_test_is_relative(self):
+        # M^-1 maps v to w, orthogonal to v but for 1e-16 of it: |v* q| is
+        # far above 1e-300 but below 1e-14 ||q||, so M is applied
+        # unprojected, as in the reference, instead of dividing by a
+        # rounding-size number
+        T, v, r, _ = self.system(20, 12, False)
+        w = np.random.default_rng(13).standard_normal(20) + 0j
+        w -= v * np.vdot(v, w)
+        w = w / np.linalg.norm(w) + 1e-16 * v
+        M = SimpleNamespace(solve=lambda z: z + (w - v) * np.vdot(v, z))
+        q = M.solve(v)
+        assert 1e-300 < abs(np.vdot(v, q)) <= 1e-14 * np.linalg.norm(q)
+        got = linsolve._correction_solve(T, v, v, r, 8, M)
+        want = factor_correction_reference(T, v, r, 8, M)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -13,7 +13,6 @@ import scipy.sparse as sp
 
 from eigensel import mep as mepmod
 from eigensel.jdsolver import Record, SolveResult
-from eigensel.mep import _values_dist as dist
 from eigensel.mep import (
     DefectiveEigenvalueError,
     LinearMep2,
@@ -35,6 +34,13 @@ from eigensel.mep import (
     tensor_rayleigh,
     to_dense_matvec,
 )
+from eigensel.selection import SIMPLICITY_RTOL
+
+
+def dist(a, b):
+    """Euclidean distance of two parameter tuples."""
+    return math.sqrt(sum(abs(complex(x) - complex(y)) ** 2
+                         for x, y in zip(a, b)))
 
 
 class TestDeltaOperators:
@@ -226,6 +232,33 @@ class TestSandwichAndCriterion:
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         with pytest.raises(DefectiveEigenvalueError):
             mep_register(m, [], (0.5, 0.5), [x, x], [x, x])
+
+    @pytest.mark.parametrize("factor, refused", [(0.99, True),
+                                                 (1.01, False)])
+    def test_register_floor_is_the_simplicity_rtol(self, factor, refused):
+        # 1x1 factors: the sandwich is det [[-1, -1], [-1, -(1 + d)]] = d
+        # and jacobian_scale is 1 + d, so d sets the ratio to the floor
+        d = factor * SIMPLICITY_RTOL
+        one = np.ones((1, 1))
+        m = LinearMep2(one, one, one, one, one, (1.0 + d) * one)
+        x = np.ones(1)
+        assert abs(dd_sandwich(m, (0, 0), (0, 0), [x, x], [x, x])) == \
+            pytest.approx(d, rel=1e-3)
+        if refused:
+            with pytest.raises(DefectiveEigenvalueError):
+                mep_register(m, [], (0.0, 0.0), [x, x], [x, x])
+        else:
+            mep_register(m, [], (0.0, 0.0), [x, x], [x, x])
+
+    def test_criterion_rows_are_cached_adjoint_rows(self):
+        # the registry caches y_i* P_ij per factor through the helper that
+        # caches y* A_k for one-parameter triplets
+        m = gen_random_mep((3, 4), seed=21)
+        t = dense_solve_2p(m)[0]
+        mep_criterion(m, [t], t.xs)
+        for i, rows in enumerate(t._rows):
+            want = np.array([t.ys[i].conj() @ P for P in m.param_mats(i)])
+            np.testing.assert_allclose(rows, want, rtol=1e-14, atol=1e-14)
 
     def test_tensor_rayleigh_exact_on_eigenvectors(self):
         m = gen_random_mep((3, 4), seed=23)
@@ -473,7 +506,7 @@ class TestNoPassFallback:
                                     key=lambda c: dist(c.values, target))
             return list(state["cands"])
 
-        def mep_blocked(values, blocked, tol):
+        def is_blocked(values, blocked, tol):
             state["blocked"] = blocked
             return real_blocked(values, blocked, tol)
 
@@ -493,11 +526,11 @@ class TestNoPassFallback:
             return real_matvec(mep, i, values, v)
 
         real_candidates = mepmod._projected_candidates
-        real_blocked = mepmod._mep_blocked
+        real_blocked = mepmod._is_blocked
         real_matvec = mepmod.to_dense_matvec
         monkeypatch.setattr(mepmod, "_projected_candidates",
                             projected_candidates)
-        monkeypatch.setattr(mepmod, "_mep_blocked", mep_blocked)
+        monkeypatch.setattr(mepmod, "_is_blocked", is_blocked)
         monkeypatch.setattr(mepmod, "mep_criterion", criterion)
         monkeypatch.setattr(mepmod, "to_dense_matvec", matvec)
         res = mep_subspace_solve(gen_random_mep((6, 6), seed=27), MepOptions(

@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigensel import homogeneous as hom
-from eigensel.jdsolver import oracle_all_eigenpairs
+from eigensel.jdsolver import JDOptions, oracle_all_eigenpairs
+from eigensel.mep import MepOptions, gen_random_mep
 from eigensel.problems import PolyProblem, gen_example_2x2, gen_random_pep
 from eigensel.selection import (
+    RECOMMENDED_ETA,
     CandidatePair,
     DefectiveEigenvalueError,
     EigenTriplet,
-    SelectionConfig,
     candidate_criteria,
     criterion_value,
     passes,
@@ -26,7 +27,7 @@ from eigensel.selection import (
 )
 
 
-def oracle_registry(problem, count, config=None):
+def oracle_registry(problem, count):
     """Register the count largest-|denominator| oracle triplets."""
     pairs = [o for o in oracle_all_eigenpairs(problem) if o.ok
              and np.isfinite(o.value)]
@@ -37,7 +38,7 @@ def oracle_registry(problem, count, config=None):
     scored.sort(key=lambda s: -s[0])
     registry = []
     for _, o in scored[:count]:
-        register(problem, registry, o.value, o.x, o.y, config=config)
+        register(problem, registry, o.value, o.x, o.y)
     return registry, [o for _, o in scored[count:]]
 
 
@@ -62,6 +63,16 @@ class TestCriterionValue:
         for o in rest[:4]:
             cand = CandidatePair(o.value, o.x)
             assert criterion_value(p, registry, cand) < 1e-6
+
+    def test_passes_compares_with_eta(self):
+        p = gen_random_pep(6, 2, seed=2)
+        registry, rest = oracle_registry(p, 3)
+        cand = CandidatePair(rest[0].value, rest[0].x + 1e-3)
+        value = criterion_value(p, registry, cand)
+        assert 0.0 < value < RECOMMENDED_ETA
+        assert passes(p, registry, cand)
+        assert passes(p, registry, cand, eta=2.0 * value)
+        assert not passes(p, registry, cand, eta=value)
 
     def test_matches_explicit_divided_difference(self):
         # cached-row evaluation against assembled matrices
@@ -159,11 +170,10 @@ class TestCandidateCriteria:
 
     def test_homogeneous_matches_textbook_inside_switch_tol(self):
         p = gen_random_pep(9, 2, seed=21)
-        cfg = SelectionConfig(mode="homogeneous")
         registry = []
         pairs = [o for o in oracle_all_eigenpairs(p) if o.ok][:3]
         for o in pairs:
-            register(p, registry, o.point, o.x, o.y, config=cfg)
+            register(p, registry, o.point, o.x, o.y)
         V, C = self.basis(9, 6, 5)
         a = registry[1].point
         near = hom.ProjectivePoint(a.alpha + 1e-10, a.beta - 1e-10j)
@@ -173,7 +183,7 @@ class TestCandidateCriteria:
                   hom.from_scalar(-3.0), hom.ProjectivePoint(0.6j, -0.8),
                   registry[0].point]
         cands = [CandidatePair(q, C[:, j]) for j, q in enumerate(points)]
-        got = candidate_criteria(p, registry, V, cands, cfg)
+        got = candidate_criteria(p, registry, V, cands)
         want = [textbook_criterion(p, registry, q, V @ C[:, j], True)
                 for j, q in enumerate(points)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -181,18 +191,16 @@ class TestCandidateCriteria:
     @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
     def test_criterion_value_is_the_one_candidate_case(self, mode):
         p = gen_random_pep(7, 2, seed=30)
-        cfg = SelectionConfig(mode=mode)
+        homogeneous = mode == "homogeneous"
         registry = []
         for o in [o for o in oracle_all_eigenpairs(p) if o.ok][:2]:
-            register(p, registry,
-                     o.point if mode == "homogeneous" else o.value,
-                     o.x, o.y, config=cfg)
+            register(p, registry, o.point if homogeneous else o.value,
+                     o.x, o.y)
         V, C = self.basis(7, 4, 6)
-        theta = 0.3 + 0.2j
-        one = criterion_value(p, registry, CandidatePair(theta, V @ C[:, 0]),
-                              cfg)
+        theta = hom.from_scalar(0.3 + 0.2j) if homogeneous else 0.3 + 0.2j
+        one = criterion_value(p, registry, CandidatePair(theta, V @ C[:, 0]))
         many = candidate_criteria(p, registry, V,
-                                  [CandidatePair(theta, C[:, 0])], cfg)
+                                  [CandidatePair(theta, C[:, 0])])
         np.testing.assert_allclose(one, many[0], rtol=1e-12)
 
     def test_empty_registry_scores_zero(self):
@@ -264,9 +272,8 @@ class TestRegister:
         C = np.diag([-1.0, -2.0])
         p = PolyProblem([C, B, A])
         e1 = np.array([1.0, 0.0])
-        cfg = SelectionConfig(mode="homogeneous")
         with pytest.raises(DefectiveEigenvalueError):
-            register(p, [], hom.ProjectivePoint(1.0, 0.0), e1, e1, config=cfg)
+            register(p, [], hom.ProjectivePoint(1.0, 0.0), e1, e1)
 
     def test_simple_infinite_eigenvalue_registers(self):
         # same null direction but B[0,0] != 0 keeps the denominator alive
@@ -275,14 +282,13 @@ class TestRegister:
         C = np.diag([-1.0, -2.0])
         p = PolyProblem([C, B, A])
         e1 = np.array([1.0, 0.0])
-        cfg = SelectionConfig(mode="homogeneous")
         registry = []
-        t = register(p, registry, hom.ProjectivePoint(1.0, 0.0), e1, e1,
-                     config=cfg)
+        t = register(p, registry, hom.ProjectivePoint(1.0, 0.0), e1, e1)
         assert t.value == math.inf
         assert t.point.is_infinite
         # finite candidates are judged without special-casing
-        val = criterion_value(p, registry, CandidatePair(0.5, e1), cfg)
+        val = criterion_value(p, registry,
+                              CandidatePair(hom.from_scalar(0.5), e1))
         assert np.isfinite(val)
 
     @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
@@ -292,7 +298,6 @@ class TestRegister:
         p = gen_random_pep(5, 2, seed=9)
         o = next(x for x in oracle_all_eigenpairs(p)
                  if x.ok and np.isfinite(x.value))
-        cfg = SelectionConfig(mode=mode)
         calls = []
         derivative, hom_D = PolyProblem.derivative, hom.hom_D
         monkeypatch.setattr(PolyProblem, "derivative", lambda self, lam: (
@@ -300,7 +305,7 @@ class TestRegister:
         monkeypatch.setattr(hom, "hom_D", lambda problem, pt: (
             calls.append(pt), hom_D(problem, pt))[1])
         theta = o.point if mode == "homogeneous" else o.value
-        t = register(p, [], theta, 2.0 * o.x, 1j * o.y, config=cfg)
+        t = register(p, [], theta, 2.0 * o.x, 1j * o.y)
         assert len(calls) == 1
         monkeypatch.undo()
         if mode == "homogeneous":
@@ -313,22 +318,26 @@ class TestRegister:
         p = gen_random_pep(5, 2, seed=8)
         o = next(x for x in oracle_all_eigenpairs(p)
                  if x.ok and np.isfinite(x.value))
-        cfg = SelectionConfig(mode="homogeneous")
         registry = []
-        register(p, registry, o.point, o.x, o.y, config=cfg)
+        register(p, registry, o.point, o.x, o.y)
         cand = CandidatePair(o.point, o.x)
         np.testing.assert_allclose(
-            criterion_value(p, registry, cand, cfg), 1.0, rtol=1e-9)
+            criterion_value(p, registry, cand), 1.0, rtol=1e-9)
 
 
 class TestConfigAndSerialization:
     def test_eta_range_enforced(self):
+        # the solver options carry eta and the value form; both option
+        # classes refuse an eta outside (0, 1) through one shared check
+        m = gen_random_mep((5, 7), seed=24)
+        for eta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="eta must lie strictly"):
+                JDOptions(eta=eta).validate(30)
+            with pytest.raises(ValueError, match="eta must lie strictly"):
+                MepOptions(target=(0, 0), mindim=3, maxdim=5,
+                           eta=eta).validate(m)
         with pytest.raises(ValueError):
-            SelectionConfig(eta=0.0)
-        with pytest.raises(ValueError):
-            SelectionConfig(eta=1.0)
-        with pytest.raises(ValueError):
-            SelectionConfig(mode="projective")
+            JDOptions(mode="projective").validate(30)
 
     def test_triplet_roundtrip_infinite(self):
         t = EigenTriplet(
