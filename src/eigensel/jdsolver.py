@@ -17,9 +17,10 @@ where the harmonic test space cost outer iterations on the gyroscopic
 problems it serves.
 
 A pair converges when its residual passes the scaled tolerance AND the
-criterion accepts it; its left eigenvector is then solved for, the triplet
-is registered, and the process continues toward the next pair without any
-deflation or locking of the problem.  A converged value whose
+criterion accepts it; its left eigenvector is then obtained
+(linsolve.left_eigenvector), the triplet is registered, and the process
+continues toward the next pair without any deflation or locking of the
+problem.  A converged value whose
 registration fails (defective or multiple eigenvalue, or an unobtainable
 left vector) or that the criterion rejects is remembered on a blocked list
 and excluded from later extraction, otherwise the solver would re-select it
@@ -662,9 +663,12 @@ def jd_solve(problem, options=None):
     def _register(p, outer):
         """Left eigenvector, then registration.  The left residual cannot
         undercut the accuracy of theta itself, so the tolerance tracks the
-        achieved right residual."""
+        achieved right residual.  The right vector goes along: where
+        P(theta) is Hermitian or complex symmetric, it or its conjugate is
+        the left vector and no LU of P(theta)* is made, unless the pair is
+        too ill conditioned for that (left_eigenvector)."""
         y = linsolve.left_eigenvector(
-            problem, p.value, rtol=max(_LEFT_RTOL, 10.0 * p.res),
+            problem, p.value, p.vecs[0], rtol=max(_LEFT_RTOL, 10.0 * p.res),
             seed=opts.seed + 1000 + len(registry) + len(blocked),
         )
         register(problem, registry, p.value, p.vecs[0], y, residual=p.res,

@@ -13,10 +13,13 @@ The consumers are
   (CGS2), a few BLAS-2 calls per step: jd_solve's through
   projected_correction_solve, which never forms P'(theta), and
   mep_subspace_solve's once per factor;
-* null vectors of (almost) singular matrices, used to obtain left
-  eigenvectors from F(lam)* y = 0 once a right eigenpair has converged,
-  and the direct solves of verify's local eigenvalue check
-  (_direct_solver);
+* left eigenvectors of jd_solve's converged pairs (left_eigenvector):
+  the right vector x or conj(x) where F(lam) is Hermitian or complex
+  symmetric at lam and the pair well conditioned, with no factorization,
+  otherwise a null vector of F(lam)* from one LU;
+* null vectors of (almost) singular matrices (null_vector), which also
+  give mep_subspace_solve's per-factor left vectors, and the direct solves
+  of verify's local eigenvalue check (_direct_solver);
 * plain preconditioned solves.
 """
 
@@ -32,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import homogeneous as hom
-from .problems import dd_weights, norm1
+from .problems import IllConditionedError, dd_weights, norm1
 
 __all__ = [
     "LuPreconditioner",
@@ -290,20 +293,31 @@ def _weighted_matvec(coeffs, w, x):
     return acc
 
 
-def _theta_eval(problem, theta):
-    """(F(theta), weights w of F'(theta) = sum_i w[i] A_i, residual scale).
+def _theta_weights(problem, theta):
+    """(theta, weights of F(theta), weights of F'(theta), residual scale).
 
-    theta is a scalar (F = P, F' = P') or a ProjectivePoint (the homogeneous
-    evaluation and DP at its canonical representative).
+    F(theta) = sum_i w[i] A_i for the returned weights w, and likewise
+    F'(theta).  theta is a scalar (F = P, F' = P') or a ProjectivePoint
+    (the homogeneous evaluation and DP), which is returned as its
+    canonical representative, the point all of them are taken at.
     """
     m = problem.degree
     if isinstance(theta, hom.ProjectivePoint):
         p = hom.scale_canonical(theta)
-        return (hom.hom_eval(problem, p), hom.hom_D_weights(m, p),
+        return (p, hom.hom_weights(m, p), hom.hom_D_weights(m, p),
                 hom.hom_tolerance_scale(problem, p))
     theta = complex(theta)
-    return (problem.eval(theta), dd_weights(m, theta, theta),
+    return (theta, theta ** np.arange(m + 1), dd_weights(m, theta, theta),
             problem.tolerance_scale(abs(theta)))
+
+
+def _theta_eval(problem, theta):
+    """(F(theta), weights w of F'(theta) = sum_i w[i] A_i, residual scale),
+    with F(theta) assembled (Horner for a scalar theta)."""
+    theta, _, dw, scale = _theta_weights(problem, theta)
+    if isinstance(theta, hom.ProjectivePoint):
+        return hom.hom_eval(problem, theta), dw, scale
+    return problem.eval(theta), dw, scale
 
 
 def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6):
@@ -422,15 +436,77 @@ def null_vector(Z, tol, seed=0):
     )
 
 
-def left_eigenvector(problem, theta, rtol=1e-8, seed=0):
+# Largest relative left residual times the condition number of theta at
+# which x or conj(x) is taken as the left eigenvector without a
+# factorization: eta / 10 for the recommended criterion threshold
+# eta = 0.1 (selection.RECOMMENDED_ETA).
+_STRUCTURED_LEFT_GUARD = 1e-2
+
+
+def _structured_left(problem, theta, x, rtol):
+    """The unit x or conj(x) if it is a left eigenvector at theta, else None.
+
+    If F(theta) is Hermitian (the gyroscopic Q(i omega) = -omega^2 A +
+    i omega B + C with real symmetric A, C and real skew B), the right
+    eigenvector x is also the left one; if every A_i is complex symmetric,
+    F(theta)^T = F(theta) and conj(x) is (Tisseur & Meerbergen, SIAM Rev.
+    43, 2001).  Neither is assumed: each candidate y must pass two tests,
+    both computed from the rows y* A_i and the weights of F(theta) and
+    F'(theta), so F(theta) is never assembled and no A_i* is formed:
+
+    * the null-vector test of null_vector, ||F(theta)* y|| <= rtol * scale;
+    * the guard ||F(theta)* y|| / scale * kappa(theta) <=
+      _STRUCTURED_LEFT_GUARD, kappa the condition number of
+      PolyProblem._condition or hom._hom_condition with the denominator
+      |y* F'(theta) x|.  A small residual is not enough near a defective
+      eigenvalue: there x can be far from the left vector, and the
+      registered rows y* A_i then block every later candidate.  On
+      gen_gyroscopic(200) at target 80i the near-infinite pair 26101i has
+      product 0.14, and registering x for it stalled the solve at 6 of 8
+      pairs; the other pairs of that solve sit below 3e-4.
+
+    A zero denominator or an infinite condition number fails the guard
+    silently.
+    """
+    theta, w, dw, scale = _theta_weights(problem, theta)
+    x = x / np.linalg.norm(x)
+    for y in (x, x.conj()):
+        R = np.array([y.conj() @ A for A in problem.coeffs])  # rows y* A_i
+        # the norm of w @ R = (F(theta)* y)*
+        res = np.linalg.norm(w @ R)
+        if res > rtol * scale:
+            continue
+        den = abs(dw @ (R @ x))
+        if den == 0.0:
+            continue
+        if isinstance(theta, hom.ProjectivePoint):
+            kappa = hom._hom_condition(problem, theta, den)
+        else:
+            try:
+                kappa = problem._condition(theta, den)
+            except IllConditionedError:
+                continue
+        if res / scale * kappa <= _STRUCTURED_LEFT_GUARD:
+            return y
+    return None
+
+
+def left_eigenvector(problem, theta, x=None, rtol=1e-8, seed=0):
     """Left eigenvector y with F(theta)* y ~ 0 for a converged eigenvalue.
 
     theta may be a scalar or a ProjectivePoint (for homogeneous solves,
     including the infinite eigenvalue).  The null vector tolerance is rtol
     times the residual scale sum_i |theta|^i ||A_i||_1 (its homogeneous
-    analogue for projective theta).  The solves use one LU factorization of
-    F(theta)*.
+    analogue for projective theta).  Given the right eigenvector x, the
+    unit x and then conj(x) are tried first and returned if they pass
+    _structured_left's residual and conditioning tests.  Otherwise y is
+    the null vector of F(theta)*, solved through one LU factorization.
     """
+    if x is not None:
+        y = _structured_left(problem, theta, np.asarray(x, dtype=complex),
+                             rtol)
+        if y is not None:
+            return y
     F, _, scale = _theta_eval(problem, theta)
     Z = F.conj().T
     if sp.issparse(Z):

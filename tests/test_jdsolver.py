@@ -245,6 +245,21 @@ class TestHomogeneousMode:
         assert all(t.value != math.inf for t in res.registry)
         assert any(r.event.startswith("rejected") for r in res.records)
 
+    def test_readme_chain_registers_eight_within_100_iterations(self):
+        # the README's gyroscopic chain at tol 1e-4 first registers 26101i,
+        # a near-infinite stand-in with kappa ~ 4e3 whose converged x has
+        # residual * kappa ~ 0.14.  Q(theta) is Hermitian there, but x is a
+        # poor left vector: registered as one, its rows block every later
+        # candidate and the solve stalls at 6 of 8 pairs after 800
+        # iterations.  The conditioning guard sends it to the LU instead,
+        # and all 8 pairs come in 20 iterations.
+        p = gen_gyroscopic(200, seed=0)
+        res = jd_solve(p, JDOptions(target=80j, num_pairs=8, tol=1e-4,
+                                    mindim=10, maxdim=20, max_outer=100,
+                                    mode="homogeneous", seed=0))
+        assert not res.truncated
+        assert len(res.registry) == 8
+
     def test_finite_values_verified_chordally(self):
         p = gen_gyroscopic(40, seed=0)
         opts = JDOptions(target=5j, num_pairs=4, tol=1e-8, mindim=8,
@@ -383,6 +398,29 @@ class TestIterationCost:
                                      mindim=4, maxdim=8, max_outer=150,
                                      mode=mode, seed=1))
             assert len(res.registry) == 2
+
+    def test_complex_symmetric_solve_factors_only_the_preconditioner(
+            self, monkeypatch):
+        # P(theta)^T = P(theta): conj(x) is every left vector, so the LU of
+        # P(target) is the only factorization (9 with one LU per pair)
+        calls = []
+        real_lu_factor = linsolve._lu_factor
+
+        def lu_factor(A):
+            calls.append(A.shape)
+            return real_lu_factor(A)
+
+        monkeypatch.setattr(linsolve, "_lu_factor", lu_factor)
+        p = gen_random_pep(200, 2, seed=3, symmetric=True)
+        res = jd_solve(p, JDOptions(target=0.3, num_pairs=8, mindim=10,
+                                    maxdim=20, seed=1))
+        assert len(res.registry) == 8
+        assert len(calls) == 1
+        for t in res.registry:
+            rtol = max(jdsolver._LEFT_RTOL, 10.0 * t.residual)
+            r = p.eval(t.value).conj().T @ t.left
+            assert (np.linalg.norm(r)
+                    <= rtol * p.tolerance_scale(abs(t.value)))
 
 
 def _best_block_loop(z, k):

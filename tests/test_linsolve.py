@@ -3,6 +3,7 @@
 scipy.linalg direct solves are the reference for every system solved
 iteratively here.
 """
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 
 from eigensel import homogeneous as hom
 from eigensel import linsolve
-from eigensel.jdsolver import oracle_all_eigenpairs
+from eigensel.jdsolver import JDOptions, jd_solve, oracle_all_eigenpairs
 from eigensel.linsolve import (
     LuPreconditioner,
     NullVectorError,
@@ -22,7 +23,7 @@ from eigensel.linsolve import (
     null_vector,
     projected_correction_solve,
 )
-from eigensel.problems import gen_gyroscopic, gen_random_pep
+from eigensel.problems import PolyProblem, gen_gyroscopic, gen_random_pep
 from eigensel.problems import norm1
 
 
@@ -228,7 +229,37 @@ class TestNullVector:
             null_vector(Z, tol=1e-8, seed=2)
 
 
+def _lu_spy(monkeypatch):
+    """Count linsolve._lu_factor calls: the factorizations a call makes."""
+    calls = []
+    real = linsolve._lu_factor
+
+    def spy(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(linsolve, "_lu_factor", spy)
+    return calls
+
+
+def _left_residual_ok(problem, theta, y, rtol):
+    """||F(theta)* y|| <= rtol * scale for unit y, F assembled here."""
+    if isinstance(theta, hom.ProjectivePoint):
+        pt = hom.scale_canonical(theta)
+        F = hom.hom_eval(problem, pt)
+        scale = hom.hom_tolerance_scale(problem, pt)
+    else:
+        F = problem.eval(theta)
+        scale = problem.tolerance_scale(abs(theta))
+    assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
+    return np.linalg.norm(F.conj().T @ y) <= rtol * scale
+
+
 class TestLeftEigenvector:
+    """Null vectors of F(theta)*; given the right vector x, x or conj(x)
+    without a factorization where F(theta) is Hermitian or complex
+    symmetric and the pair well conditioned."""
+
     def test_residual_meets_tolerance(self):
         p = gen_random_pep(12, 2, seed=0)
         oracle = [o for o in oracle_all_eigenpairs(p)
@@ -245,6 +276,81 @@ class TestLeftEigenvector:
                 key=lambda o: abs(o.value))
         y = left_eigenvector(p, o.value, rtol=1e-9, seed=1)
         assert abs(np.vdot(o.y, y)) > 1.0 - 1e-6
+
+    @pytest.fixture(scope="class")
+    def gyro_pair(self):
+        # a converged imaginary pair of the Hermitian Q(i omega)
+        p = gen_gyroscopic(200, seed=0)
+        res = jd_solve(p, JDOptions(target=20j, num_pairs=1, tol=1e-9,
+                                    mode="homogeneous", seed=0))
+        t = res.registry[0]
+        assert abs(t.value.real) <= 1e-10 * abs(t.value)
+        return p, t
+
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_hermitian_returns_x_without_factoring(self, monkeypatch,
+                                                   gyro_pair, projective):
+        p, t = gyro_pair
+        theta = t.point if projective else t.value
+        x = 3.0 * t.right
+        calls = _lu_spy(monkeypatch)
+        y = left_eigenvector(p, theta, x, rtol=1e-7, seed=0)
+        assert calls == []
+        np.testing.assert_array_equal(y, x / np.linalg.norm(x))
+        assert _left_residual_ok(p, theta, y, 1e-7)
+
+    def test_complex_symmetric_returns_conj_x_without_factoring(
+            self, monkeypatch):
+        p = gen_random_pep(40, 2, seed=2, symmetric=True)
+        o = min((o for o in oracle_all_eigenpairs(p)
+                 if o.ok and np.isfinite(o.value)),
+                key=lambda o: abs(o.value))
+        calls = _lu_spy(monkeypatch)
+        y = left_eigenvector(p, o.value, o.x, rtol=1e-8, seed=0)
+        assert calls == []
+        np.testing.assert_array_equal(y, np.conj(o.x) / np.linalg.norm(o.x))
+        assert _left_residual_ok(p, o.value, y, 1e-8)
+
+    def test_non_symmetric_factors_once_as_without_x(self, monkeypatch):
+        p = gen_random_pep(40, 2, seed=2)
+        o = min((o for o in oracle_all_eigenpairs(p)
+                 if o.ok and np.isfinite(o.value)),
+                key=lambda o: abs(o.value))
+        calls = _lu_spy(monkeypatch)
+        y = left_eigenvector(p, o.value, o.x, rtol=1e-8, seed=4)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(
+            y, left_eigenvector(p, o.value, rtol=1e-8, seed=4))
+        assert _left_residual_ok(p, o.value, y, 1e-8)
+
+    def test_ill_conditioned_hermitian_pair_takes_the_lu(self, monkeypatch):
+        # A - lam B with A, B real symmetric and B indefinite: two real
+        # eigenvalues +-1.41e-3 about to collide, kappa ~ 1.4e3; x carries
+        # an error of 1e-4, so its residual passes rtol but residual * kappa
+        # exceeds the 1e-2 guard
+        d = 1e-6
+        A = np.array([[1.0, 1.0 - d], [1.0 - d, 1.0]])
+        B = np.diag([1.0, -1.0])
+        p = PolyProblem([A, -B])
+        w, V = sla.eig(A, B)
+        k = int(np.argmax(w.real))
+        lam = float(w[k].real)
+        rng = np.random.default_rng(0)
+        x = V[:, k] / np.linalg.norm(V[:, k])
+        x = x + 1e-4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        x /= np.linalg.norm(x)
+        scale = p.tolerance_scale(abs(lam))
+        res = np.linalg.norm(p.eval(lam).conj().T @ x) / scale
+        kappa = p.condition_number(lam, x, x)
+        assert res <= 1e-3 and res * kappa > linsolve._STRUCTURED_LEFT_GUARD
+        calls = _lu_spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = left_eigenvector(p, lam, x, rtol=1e-3, seed=0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(
+            y, left_eigenvector(p, lam, rtol=1e-3, seed=0))
+        assert _left_residual_ok(p, lam, y, 1e-3)
 
 
 class TestProjectedCorrection:
