@@ -20,7 +20,6 @@ verify, which prints SKIPPED past it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -31,7 +30,6 @@ import numpy as np
 from . import homogeneous as hom
 from . import jdsolver, linsolve, mmio, problems
 from . import mep as mepmod
-from .selection import _value_to_json
 
 __all__ = ["main", "build_parser", "cmd_generate", "cmd_solve",
            "cmd_verify", "cmd_report"]
@@ -127,19 +125,20 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _to_json(v):
-    """A value, or each value of a parameter tuple, as written to JSON."""
-    if isinstance(v, tuple):
-        return [_value_to_json(x) for x in v]
-    return _value_to_json(v)
-
-
 def _options(cls, args, **kwargs):
     """JDOptions or MepOptions from the solve arguments they share."""
     return cls(num_pairs=args.num_pairs, tol=args.tol, mindim=args.mindim,
                maxdim=args.maxdim, max_outer=args.max_outer,
                inner_steps=args.inner_steps, eta=args.eta, seed=args.seed,
                **kwargs)
+
+
+def _blocked_value(value):
+    """A blocked value as the registry records values: complex scalars."""
+    if isinstance(value, tuple):
+        return tuple(map(complex, value))
+    return complex(value.to_scalar() if isinstance(value, hom.ProjectivePoint)
+                   else value)
 
 
 def _finish_solve(args, manifest, opts, res, settings, problem, pairs,
@@ -149,9 +148,9 @@ def _finish_solve(args, manifest, opts, res, settings, problem, pairs,
     payload = {
         "problem": {"manifest": os.path.abspath(args.problem),
                     "kind": manifest.get("kind"), **problem},
-        "config": {**dataclasses.asdict(opts), "target": _to_json(opts.target)},
+        "config": mmio.to_json(opts),
         "pairs": pairs,
-        "blocked": [_to_json(b) for b in res.blocked],
+        "blocked": mmio.to_json([_blocked_value(b) for b in res.blocked]),
         "outer_iterations": res.outer_iterations,
         "truncated": bool(res.truncated),
     }
@@ -176,7 +175,7 @@ def _solve_pep(prob, args, manifest):
         args, manifest, opts, res,
         settings=f"eta={opts.eta} mode={opts.mode} target={opts.target}",
         problem={"problem_type": "pep"},
-        pairs=[t.to_dict() for t in res.registry],
+        pairs=mmio.to_json(res.registry),
         nparams=1,
     )
 
@@ -186,11 +185,9 @@ def _solve_mep(m, args, manifest):
                complex(*args.target_nu)][: m.nparams]
     opts = _options(mepmod.MepOptions, args, target=tuple(targets))
     res = mepmod.mep_subspace_solve(m, opts)
-    pairs = []
-    for t in res.registry:
-        d = t.to_dict()
+    pairs = mmio.to_json(res.registry)
+    for d, t in zip(pairs, res.registry):
         d["oscillation"] = [mepmod.oscillation_index(x) for x in t.xs]
-        pairs.append(d)
     return _finish_solve(
         args, manifest, opts, res,
         settings=f"eta={opts.eta} target={opts.target}",
@@ -212,19 +209,10 @@ def cmd_solve(args):
     return _solve_mep(prob, args, manifest)
 
 
-def _result_value(d):
-    v = d["value"]
-    if isinstance(v, dict) and v.get("inf"):
-        return math.inf
-    return complex(v[0], v[1])
-
-
 def _result_point(d):
     if "point" in d:
-        a = complex(*d["point"]["alpha"])
-        b = complex(*d["point"]["beta"])
-        return hom.scale_canonical(hom.ProjectivePoint(a, b))
-    return hom.from_scalar(_result_value(d))
+        return hom.scale_canonical(mmio.from_json(d["point"]))
+    return hom.from_scalar(mmio.from_json(d["value"]))
 
 
 def _relres(r, scale, x):
@@ -261,6 +249,8 @@ def _verdict(rows, results, rtol):
 # Solves of verify's local check per returned pair, and the chordal distance
 # within which two eigenvalue estimates agree to rounding: two successive
 # estimates have settled, or two returned pairs found the same eigenvalue.
+# Two Ritz values within its square root are split rounding of a defective
+# eigenvalue, which a perturbation of size eps moves by about sqrt(eps).
 _LOCAL_SOLVES = 10
 _ROUNDING = 1e-12
 
@@ -281,11 +271,16 @@ def _local_eigenvalue(problem, point):
     same matrix, so that b is never small.
 
     Starts from a seeded random vector and returns the canonical point once
-    two successive estimates lie within _ROUNDING chordal distance, or None
-    if none do within _LOCAL_SOLVES solves.  An exactly singular P(a, b)
-    makes sigma an eigenvalue, which is returned as it is: iterating on the
-    regularized factor would split a defective eigenvalue, such as the
-    infinite one of gen_gyroscopic, into two of equal distance.
+    two successive estimates lie within _ROUNDING chordal distance.  Next
+    to a defective eigenvalue the estimates converge only as 1/k, and the
+    last two iterates span its Jordan chain; so if none settle within
+    _LOCAL_SOLVES solves, one Rayleigh-Ritz step of T on the span of the
+    last two iterates (two more solves) gives two Ritz values.  Within
+    sqrt(_ROUNDING) chordal of each other they are that eigenvalue, and the
+    one of largest |mu| is returned; otherwise None.  An exactly singular
+    P(a, b) makes sigma an eigenvalue, which is returned as it is:
+    iterating on the regularized factor would split a defective eigenvalue,
+    such as the infinite one of gen_gyroscopic, into two of equal distance.
     """
     s = hom.scale_canonical(point)
     coeffs, (a, b) = problem.coeffs, (s.alpha, s.beta)
@@ -311,20 +306,28 @@ def _local_eigenvalue(problem, point):
         y0 = -b ** (m - 1) * solve(rhs)
         return (np.conj(a) * z + powers[:, None] * y0 + u) / b
 
+    def estimate(mu):
+        alpha, beta = mu * a + np.conj(b), mu * b - np.conj(a)
+        return hom.ProjectivePoint(*((beta, alpha) if swap else (alpha, beta)))
+
     rng = np.random.default_rng(0)
     z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     z /= np.linalg.norm(z)
     last = None
     for _ in range(_LOCAL_SOLVES):
         y = apply(z)
-        mu = np.vdot(z, y)
-        alpha, beta = mu * a + np.conj(b), mu * b - np.conj(a)
-        est = hom.ProjectivePoint(*((beta, alpha) if swap else (alpha, beta)))
+        est = estimate(np.vdot(z, y))
         if last is not None and hom.chordal_distance(last, est) <= _ROUNDING:
             return hom.scale_canonical(est)
         last = est
-        z = y / np.linalg.norm(y)
-    return None
+        z_prev, z = z, y / np.linalg.norm(y)
+    Q = np.linalg.qr(np.column_stack([z_prev.ravel(), z.ravel()]))[0]
+    TQ = np.column_stack([apply(q.reshape(m, n)).ravel() for q in Q.T])
+    mus = np.linalg.eigvals(Q.conj().T @ TQ)
+    ritz = [estimate(mu) for mu in mus]
+    if hom.chordal_distance(*ritz) > math.sqrt(_ROUNDING):
+        return None
+    return hom.scale_canonical(ritz[int(np.argmax(np.abs(mus)))])
 
 
 def _verify_pep(prob, results, rtol):
@@ -334,14 +337,14 @@ def _verify_pep(prob, results, rtol):
     one LU of P at the pair, so no spectrum is formed and no size is capped.
     The distinct local eigenvalues are numbered in order of first match;
     two pairs whose local eigenvalues agree to rounding are duplicates.  A
-    pair whose estimate does not settle gets an infinite mismatch.
+    pair for which _local_eigenvalue finds none gets an infinite mismatch.
     """
     homogeneous = results.get("config", {}).get("mode") == "homogeneous"
     found = []
     rows = []
     for d in results["pairs"]:
         point = _result_point(d)
-        value = _result_value(d)
+        value = mmio.from_json(d["value"])
         infinite = isinstance(value, float) and math.isinf(value)
         local = _local_eigenvalue(prob, point)
         j = len(found)
@@ -360,7 +363,7 @@ def _verify_pep(prob, results, rtol):
             w = local.to_scalar()
             mismatch = abs(value - w) / max(1.0, abs(w))
 
-        x = np.asarray(d["right"]["re"]) + 1j * np.asarray(d["right"]["im"])
+        x = mmio.from_json(d["right"])
         if infinite:
             r = hom.hom_eval(prob, point) @ x
             scale = hom.hom_tolerance_scale(prob, point)
@@ -377,7 +380,7 @@ def _verify_mep(m, results, rtol):
     oracle = mepmod.dense_solve(m)
     rows = []
     for d in results["pairs"]:
-        values = tuple(complex(*v) for v in d["values"])
+        values = tuple(mmio.from_json(v) for v in d["values"])
         dists = [
             sum(abs(values[i] - o.values[i]) for i in range(m.nparams))
             / max(1.0, sum(abs(v) for v in o.values))
@@ -386,7 +389,7 @@ def _verify_mep(m, results, rtol):
         j = int(np.argmin(dists))
         rel = 0.0
         for i in range(m.nfactors):
-            x = np.asarray(d["xs"][i]["re"]) + 1j * np.asarray(d["xs"][i]["im"])
+            x = mmio.from_json(d["xs"][i])
             r = mepmod.to_dense_matvec(m, i, values, x)
             rel = max(rel, _relres(r, m.tolerance_scale(i, values), x))
         rows.append((f"values {values}", j, float(dists[j]), rel))

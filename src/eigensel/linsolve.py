@@ -147,13 +147,10 @@ class LuPreconditioner:
                 raise np.linalg.LinAlgError(
                     f"{getri.typecode}getri failed with info = {info}")
 
-    def solve(self, b, adjoint=False):
+    def solve(self, b):
         if self._sparse:
-            trans = "H" if adjoint else "N"
-            return _field_solve(lambda c: self._lu.solve(c, trans=trans),
-                                self.dtype, b)
-        inv = self._inv.conj().T if adjoint else self._inv
-        return _field_solve(lambda c: inv @ c, self.dtype, b)
+            return _field_solve(self._lu.solve, self.dtype, b)
+        return _field_solve(lambda c: self._inv @ c, self.dtype, b)
 
 
 def lu_preconditioner(problem, target):
@@ -171,7 +168,7 @@ def lu_preconditioner(problem, target):
     return LuPreconditioner(A)
 
 
-def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
+def gmres(A, b, tol=1e-8, maxiter=None, M=None):
     """Right-preconditioned GMRES (single cycle, no restarts).
 
     Solves A x = b to a relative residual tol, or stops after maxiter Arnoldi
@@ -191,7 +188,7 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
     matrix H; the small least-squares problem min ||beta e_1 - H y|| is
     solved once, after the last step, and gives x and the returned relres.
 
-    The iteration runs in the dtype of b, x0, and of A and M where they
+    The iteration runs in the dtype of b, and of A and M where they
     carry one: real for real input, complex otherwise.  A callable A or M
     must keep a real vector real when that dtype is real.
 
@@ -201,30 +198,20 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
     matvec = _as_matvec(A)
     psolve = _as_psolve(M)
     b = np.asarray(b)
-    dtype = np.result_type(b, float, *(X.dtype for X in (x0, A, M)
+    dtype = np.result_type(b, float, *(X.dtype for X in (A, M)
                                        if hasattr(X, "dtype")))
     b = b.astype(dtype, copy=False)
     n = b.shape[0]
     if maxiter is None:
         maxiter = n
     maxiter = min(maxiter, n)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
         return np.zeros_like(b), 0.0, 0
-
-    if x0 is None:
-        x0 = np.zeros_like(b)
-        r0 = b.copy()
-    else:
-        x0 = np.asarray(x0, dtype=dtype)
-        r0 = b - matvec(x0)
-    beta = np.linalg.norm(r0)
-    if beta <= tol * bnorm:
-        return x0, beta / bnorm, 0
 
     V = np.empty((n, maxiter + 1), dtype=dtype, order="F")
     H = np.zeros((maxiter + 1, maxiter), dtype=dtype)
-    V[:, 0] = r0 / beta
+    V[:, 0] = b / beta
     e1 = np.zeros(maxiter + 1, dtype=dtype)
     e1[0] = beta
     # rotation j is [[cs[j], sn[j]], [-conj(sn[j]), cs[j]]] on rows j, j+1;
@@ -255,7 +242,7 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
         cs.append(c)
         sn.append(s)
         g = -s.conjugate() * g
-        relres = abs(g) / bnorm
+        relres = abs(g) / beta
         if hnext <= 1e-14 * max(1.0, beta):
             break  # happy breakdown: solution is exact in the Krylov space
         V[:, k + 1] = w / hnext
@@ -263,11 +250,11 @@ def gmres(A, b, x0=None, tol=1e-8, maxiter=None, M=None):
             break
     Hk, gk = H[: k_used + 1, :k_used], e1[: k_used + 1]
     y = np.linalg.lstsq(Hk, gk, rcond=None)[0]
-    relres = np.linalg.norm(gk - Hk @ y) / bnorm
+    relres = np.linalg.norm(gk - Hk @ y) / beta
     u = V[:, :k_used] @ y
     if psolve is not None:
         u = psolve(u)
-    return x0 + u, float(relres), k_used
+    return u, float(relres), k_used
 
 
 def _givens(a, b):

@@ -63,8 +63,6 @@ from .selection import (
     SIMPLICITY_RTOL,
     DefectiveEigenvalueError,
     _adjoint_rows,
-    _value_to_json,
-    _vec_to_dict,
 )
 
 __all__ = [
@@ -531,17 +529,6 @@ class MepTriplet:
     denom: complex
     residual: float = math.nan
     found_iteration: int = -1
-
-    def to_dict(self):
-        """JSON-ready dict, encoded as EigenTriplet.to_dict does."""
-        return {
-            "values": [_value_to_json(v) for v in self.values],
-            "xs": [_vec_to_dict(x) for x in self.xs],
-            "ys": [_vec_to_dict(y) for y in self.ys],
-            "denom": _value_to_json(self.denom),
-            "residual": None if math.isnan(self.residual) else self.residual,
-            "found_iteration": self.found_iteration,
-        }
 
 
 def mep_criterion(mep, registry, vs, variant="new"):

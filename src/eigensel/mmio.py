@@ -14,14 +14,20 @@ Manifest layout (format "eigensel-manifest-v1"):
     matrices      name -> relative path entries for every stored matrix
     kind, params  generator provenance, enough to regenerate
 
-Complex scalars in JSON are always [re, im] pairs; an infinite value (an
-eigenvalue, which carries its projective point alongside, or a target) is
-{"inf": true}.  No NaN or Infinity token is written.
+Solver output is encoded by to_json and read back, one value, point or
+vector at a time, by from_json; no other module knows the layout.  A
+dataclass is the dict of its fields that are not None, a ProjectivePoint
+{"alpha": [re, im], "beta": [re, im]}, an ndarray {"re": [...], "im":
+[...]}, a list or tuple the list of its items, an infinite float or
+complex {"inf": true}, a NaN float null and a complex [re, im] (a
+registered value is complex even when real); anything else is as it is.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +36,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
+from .homogeneous import ProjectivePoint
 from .mep import LinearMep2, LinearMep3
 from .problems import PolyProblem
 
@@ -41,6 +48,8 @@ __all__ = [
     "save_mep",
     "load_manifest",
     "load_problem",
+    "to_json",
+    "from_json",
     "write_json",
     "read_json",
     "write_convergence_csv",
@@ -169,6 +178,45 @@ def load_problem(manifest_path):
     raise ValueError(f"unknown problem_type {ptype!r}")
 
 
+def to_json(x):
+    """x as JSON-ready values, by the rules of the module docstring."""
+    return _encode(x)
+
+
+def _encode(x):
+    # recursing here, not in to_json, a traced to_json is one span per call
+    if dataclasses.is_dataclass(x):
+        fields = ((f.name, getattr(x, f.name)) for f in dataclasses.fields(x))
+        return {k: _encode(v) for k, v in fields if v is not None}
+    if isinstance(x, ProjectivePoint):
+        return {"alpha": _encode(x.alpha), "beta": _encode(x.beta)}
+    if isinstance(x, np.ndarray):
+        return {"re": x.real.tolist(), "im": x.imag.tolist()}
+    if isinstance(x, (list, tuple)):
+        return [_encode(v) for v in x]
+    if isinstance(x, (float, complex)) and cmath.isinf(x):
+        return {"inf": True}
+    if isinstance(x, float):
+        return None if math.isnan(x) else x
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    return x
+
+
+def from_json(x):
+    """What to_json wrote as x, bit for bit: math.inf, a complex, a
+    ProjectivePoint (not normalized again) or a complex ndarray."""
+    if not isinstance(x, dict):
+        return complex(*x)
+    if x.get("inf"):
+        return math.inf
+    if "alpha" in x:
+        p = object.__new__(ProjectivePoint)
+        p.alpha, p.beta = complex(*x["alpha"]), complex(*x["beta"])
+        return p
+    return np.asarray(x["re"]) + 1j * np.asarray(x["im"])
+
+
 def write_json(path, payload):
     """Write payload as strict JSON: a NaN or infinite float raises
     ValueError instead of becoming a bare NaN or Infinity token."""
@@ -221,11 +269,9 @@ def write_convergence_csv(path, records, nparams=1):
 
 
 def _fmt_value(value):
-    """A JSON-encoded value: [re, im], or {"inf": true}."""
-    if isinstance(value, dict):
-        return "inf"
-    v = complex(*value)
-    return f"{v.real:+.10e} {v.imag:+.10e}j"
+    """A JSON-encoded value as table text."""
+    v = from_json(value)
+    return "inf" if v == math.inf else f"{v.real:+.10e} {v.imag:+.10e}j"
 
 
 def _nan_if_none(x):

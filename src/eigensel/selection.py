@@ -34,7 +34,6 @@ registry entries and candidates.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -84,41 +83,6 @@ class EigenTriplet:
     residual: float = math.nan
     found_iteration: int = -1
     point: Optional[hom.ProjectivePoint] = None
-
-    def to_dict(self):
-        """JSON-ready dict: scalars through _value_to_json, vectors as split
-        re/im arrays, a NaN cond or residual as None."""
-        d = {
-            "value": _value_to_json(self.value),
-            "right": _vec_to_dict(self.right),
-            "left": _vec_to_dict(self.left),
-            "denom": _value_to_json(self.denom),
-            "cond": None if math.isnan(self.cond) else float(self.cond),
-            "residual": None if math.isnan(self.residual) else float(self.residual),
-            "found_iteration": int(self.found_iteration),
-        }
-        if self.point is not None:
-            d["point"] = {
-                "alpha": [self.point.alpha.real, self.point.alpha.imag],
-                "beta": [self.point.beta.real, self.point.beta.imag],
-            }
-        return d
-
-
-def _value_to_json(v):
-    """[re, im] of a scalar, {"inf": true} when it is infinite; a
-    ProjectivePoint is read as its scalar."""
-    if isinstance(v, hom.ProjectivePoint):
-        v = v.to_scalar()
-    v = complex(v)
-    if cmath.isinf(v):
-        return {"inf": True}
-    return [v.real, v.imag]
-
-
-def _vec_to_dict(v):
-    v = np.asarray(v)
-    return {"re": v.real.tolist(), "im": v.imag.tolist()}
 
 
 @dataclass

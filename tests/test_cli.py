@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from eigensel import cli, jdsolver, mmio
-from eigensel.homogeneous import chordal_distance, from_scalar
+from eigensel.homogeneous import ProjectivePoint, chordal_distance, from_scalar
 from eigensel.jdsolver import JDOptions, jd_solve
 from eigensel.mep import LinearMep3, MepOptions
 from eigensel.problems import (
@@ -370,7 +370,7 @@ class TestLocalEigenvalue:
             assert any(t.point.is_infinite for t in registry)
         oracle = [o.point for o in jdsolver.oracle_all_eigenpairs(problem)]
         for t in registry:
-            point = cli._result_point(t.to_dict())
+            point = cli._result_point(mmio.to_json(t))
             local = cli._local_eigenvalue(problem, point)
             nearest = min(oracle, key=lambda q: chordal_distance(point, q))
             if opts.mode == "homogeneous":
@@ -402,6 +402,19 @@ class TestLocalEigenvalue:
         assert 0.0 < chordal_distance(ref, nearest) < 1e-9
         local = cli._local_eigenvalue(problem, ref)
         assert chordal_distance(local, nearest) <= 1e-15
+
+    @pytest.mark.parametrize("phase", [1.0, 1j, complex(math.cos(0.3),
+                                                  math.sin(0.3))])
+    @pytest.mark.parametrize("beta", [1e-6, 3.8e-5, 1e-3])
+    def test_next_to_a_defective_eigenvalue(self, phase, beta):
+        # infinity is a defective eigenvalue of the gyroscopic problem:
+        # inverse iteration nears it as 1/k and never settles, and the
+        # Rayleigh-Ritz step on the last two iterates finds it
+        ref = ProjectivePoint(1.0, 0.0)
+        local = cli._local_eigenvalue(gen_gyroscopic(30),
+                                      ProjectivePoint(1.0, beta * phase))
+        assert local is not None
+        assert chordal_distance(local, ref) <= 1e-10
 
     def test_close_eigenvalues_and_an_exact_shift(self):
         # eigenvalues 0 and 1e-6; P(0) is exactly singular

@@ -49,13 +49,6 @@ class TestGmres:
         x, relres, its = gmres(A, np.zeros(5, dtype=complex))
         assert np.all(x == 0) and relres == 0.0 and its == 0
 
-    def test_x0_already_converged(self):
-        A, b = random_system(8, 2)
-        xstar = np.linalg.solve(A, b)
-        x, relres, its = gmres(A, b, x0=xstar, tol=1e-8)
-        assert its == 0
-        np.testing.assert_allclose(x, xstar, atol=0)
-
     def test_preconditioner_accelerates(self):
         A, b = random_system(40, 3)
         M = LuPreconditioner(A)  # exact inverse: one step should do
@@ -89,12 +82,6 @@ class TestLuPreconditioner:
         A, b = random_system(10, 7)
         M = LuPreconditioner(A)
         np.testing.assert_allclose(A @ M.solve(b), b, rtol=1e-10, atol=1e-10)
-
-    def test_adjoint_solve(self):
-        A, b = random_system(10, 8)
-        M = LuPreconditioner(A)
-        np.testing.assert_allclose(A.conj().T @ M.solve(b, adjoint=True), b,
-                                   rtol=1e-10, atol=1e-10)
 
     def test_sparse_input(self):
         p = gen_gyroscopic(60)
@@ -135,11 +122,10 @@ class TestDenseInverse:
         B = rng.standard_normal((A.shape[0], 3)) + 1j * rng.standard_normal(
             (A.shape[0], 3))
         for b in (B[:, 0], B):
-            for trans, adjoint in ((0, False), (2, True)):
-                want = sla.lu_solve(lu, b, trans=trans)
-                got = M.solve(b, adjoint=adjoint)
-                assert got.shape == want.shape
-                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            want = sla.lu_solve(lu, b)
+            got = M.solve(b)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n, seed", [(10, 0), (60, 1)])
     def test_regular(self, n, seed):
@@ -190,15 +176,12 @@ class TestRealInput:
         Mc = LuPreconditioner(wrap(A.astype(complex)))
         assert M.dtype == np.float64 and Mc.dtype == np.complex128
         for rhs in (b, B):
-            for adjoint in (False, True):
-                got = M.solve(rhs, adjoint=adjoint)
-                assert got.dtype == np.float64
-                self.assert_close(got, Mc.solve(rhs.astype(complex),
-                                                adjoint=adjoint))
-                # a complex right-hand side is solved as its two parts
-                z = rhs + 1j * rhs[::-1]
-                self.assert_close(M.solve(z, adjoint=adjoint),
-                                  Mc.solve(z, adjoint=adjoint))
+            got = M.solve(rhs)
+            assert got.dtype == np.float64
+            self.assert_close(got, Mc.solve(rhs.astype(complex)))
+            # a complex right-hand side is solved as its two parts
+            z = rhs + 1j * rhs[::-1]
+            self.assert_close(M.solve(z), Mc.solve(z))
 
 
 class TestNullVector:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigensel import homogeneous as hom
+from eigensel import mmio
 from eigensel.jdsolver import JDOptions, oracle_all_eigenpairs
 from eigensel.mep import MepOptions, gen_random_mep
 from eigensel.problems import PolyProblem, gen_example_2x2, gen_random_pep
@@ -347,6 +348,6 @@ class TestConfigAndSerialization:
             denom=-1.0 + 0.0j,
             point=hom.ProjectivePoint(1.0, 0.0),
         )
-        d = t.to_dict()
+        d = mmio.to_json(t)
         assert d["value"] == {"inf": True}
         assert d["cond"] is None and d["residual"] is None
