@@ -20,6 +20,7 @@ verify, which prints SKIPPED past it.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -284,7 +285,7 @@ def _local_eigenvalue(problem, point):
     """
     s = hom.scale_canonical(point)
     coeffs, (a, b) = problem.coeffs, (s.alpha, s.beta)
-    Z = hom.hom_eval(problem, s)
+    Z = problem.eval(s)
     solve, singular = linsolve._direct_solver(Z)
     if singular:
         return s
@@ -364,15 +365,11 @@ def _verify_pep(prob, results, rtol):
             mismatch = abs(value - w) / max(1.0, abs(w))
 
         x = mmio.from_json(d["right"])
-        if infinite:
-            r = hom.hom_eval(prob, point) @ x
-            scale = hom.hom_tolerance_scale(prob, point)
-        else:
-            r = prob.matvec(value, x)
-            scale = prob.tolerance_scale(value)
+        at = point if infinite else value
+        r = prob.matvec(at, x)
         shown = "inf" if infinite else f"{value:.6g}"
         rows.append((f"value {shown}", j, float(mismatch),
-                     _relres(r, scale, x)))
+                     _relres(r, prob.tolerance_scale(at), x)))
     return _verdict(rows, results, rtol)
 
 
@@ -431,14 +428,9 @@ def cmd_report(args):
     if blocked:
         print(f"blocked values: {blocked}")
     if args.csv:
-        import csv as _csv
-        counts = {}
-        rows = 0
         with open(args.csv, newline="") as f:
-            for row in _csv.DictReader(f):
-                rows += 1
-                counts[row["event"]] = counts.get(row["event"], 0) + 1
-        print(f"convergence log: {rows} records")
+            counts = Counter(row["event"] for row in csv.DictReader(f))
+        print(f"convergence log: {counts.total()} records")
         for ev in sorted(counts):
             print(f"  {ev}: {counts[ev]}")
     return EXIT_OK

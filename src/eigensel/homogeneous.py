@@ -22,6 +22,10 @@ nonnegative, and the second point is scaled accordingly (the same coordinate
 made real nonnegative), which makes projective convergence componentwise and
 the quotient converge to DP along real approach paths.
 
+PolyProblem runs the hom_* functions at a point as given.  canonical picks
+the representative once per theta: scale_canonical of a point, (1, 0) for a
+scalar infinity; repeating scale_canonical can change the last bits.
+
 The chordal distance |a1 b2 - a2 b1| of normalized points is the sine of
 the angle between the corresponding lines; it is the natural metric here and
 treats infinity like any other point.
@@ -29,6 +33,7 @@ treats infinity like any other point.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -38,6 +43,7 @@ __all__ = [
     "ProjectivePoint",
     "from_scalar",
     "scale_canonical",
+    "canonical",
     "align",
     "chordal_distance",
     "hom_eval",
@@ -47,7 +53,6 @@ __all__ = [
     "hom_dd_weights",
     "hom_divided_difference",
     "hom_tolerance_scale",
-    "hom_condition_number",
     "MediatorDegenerateError",
     "mediator_decompose",
     "mediator_matrices",
@@ -97,8 +102,6 @@ class ProjectivePoint:
 
 def from_scalar(lam):
     """Projective point of a scalar eigenvalue; accepts inf for (1, 0)."""
-    if isinstance(lam, (float, int)) and math.isinf(lam):
-        return ProjectivePoint(1.0, 0.0)
     lam = complex(lam)
     if np.isinf(lam.real) or np.isinf(lam.imag):
         return ProjectivePoint(1.0, 0.0)
@@ -125,6 +128,15 @@ def scale_canonical(p):
     else:
         s = _unit_phase_to_nonneg(p.beta)
     return p.scaled(s)
+
+
+def canonical(theta):
+    """Representative of theta for evaluation: scale_canonical of a point,
+    (1, 0) for a scalar infinity, complex(theta) for other scalars."""
+    if isinstance(theta, ProjectivePoint):
+        return scale_canonical(theta)
+    theta = complex(theta)
+    return ProjectivePoint(1.0, 0.0) if cmath.isinf(theta) else theta
 
 
 def _align_phase(ref_alpha, ref_beta, alpha, beta):
@@ -254,21 +266,10 @@ def hom_tolerance_scale(problem, p):
     )
 
 
-def hom_condition_number(problem, p, x, y):
-    """Homogeneous analogue of the Tisseur condition number.
-
-    sum_i |alpha|^i |beta|^(m-i) ||A_i||_2 / |y* DP(alpha,beta) x| with unit
-    x, y; reduces to the scalar formula at finite points and stays finite at
-    (1, 0).
-    """
-    x = np.asarray(x) / np.linalg.norm(x)
-    y = np.asarray(y) / np.linalg.norm(y)
-    return _hom_condition(problem, p, abs(np.vdot(y, hom_D(problem, p) @ x)))
-
-
 def _hom_condition(problem, p, den):
-    """hom_condition_number from its denominator den = |y* DP(alpha,beta) x|
-    for unit x and y, for a caller that has formed it already."""
+    """Homogeneous Tisseur condition number sum_i |alpha|^i |beta|^(m-i)
+    ||A_i||_2 / den, den = |y* DP(alpha, beta) x| for unit x and y; it stays
+    finite at (1, 0)."""
     m = problem.degree
     a, b = abs(p.alpha), abs(p.beta)
     num = float(sum(problem.norms2[i] * a**i * b ** (m - i) for i in range(m + 1)))

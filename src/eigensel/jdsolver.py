@@ -460,16 +460,10 @@ def extract_candidates(space, target, mode="standard"):
 
 
 def _residual(problem, space, theta, c):
-    """Residual vector and scaled norm for a primitive Ritz pair."""
-    m = problem.degree
-    if isinstance(theta, hom.ProjectivePoint):
-        w = hom.hom_weights(m, theta)
-        scale = hom.hom_tolerance_scale(problem, theta)
-    else:
-        w = np.array([complex(theta) ** i for i in range(m + 1)])
-        scale = problem.tolerance_scale(abs(theta))
+    """Residual vector, its norm and scale for a primitive Ritz pair."""
+    w, _ = problem.weights(theta)
     r = sum(w[i] * (W @ c) for i, W in enumerate(space.W))
-    return r, float(np.linalg.norm(r)), scale
+    return r, float(np.linalg.norm(r)), problem.tolerance_scale(theta)
 
 
 def _snap_infinite(problem, space, theta, c, rho, tol):
@@ -759,17 +753,11 @@ def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
         if ny == 0.0:
             continue
         y = y / ny
-        if pt.is_infinite:
-            value = math.inf
-            scale = float(problem.norms1[m]) or 1.0
-            Am = problem.coeffs[m]
-            rr = float(np.linalg.norm(Am @ x)) / scale
-            rl = float(np.linalg.norm(Am.conj().T @ y)) / scale
-        else:
-            value = pt.to_scalar()
-            scale = problem.tolerance_scale(abs(value)) or 1.0
-            rr = float(np.linalg.norm(problem.matvec(value, x))) / scale
-            rl = float(np.linalg.norm(problem.eval(value).conj().T @ y)) / scale
+        value = pt.to_scalar()
+        at = hom.canonical(value)  # (1, 0) for the infinite eigenvalue
+        scale = problem.tolerance_scale(at) or 1.0
+        rr = float(np.linalg.norm(problem.matvec(at, x))) / scale
+        rl = float(np.linalg.norm(problem.eval(at).conj().T @ y)) / scale
         pairs.append(
             OraclePair(value, pt, x, y, rr, rl,
                        ok=(rr <= residual_rtol and rl <= residual_rtol))

@@ -4,6 +4,8 @@ Everything here is desk-scale friendly but keeps the large-scale shape: the
 operators may be dense arrays, sparse matrices, or matvec callables, and the
 preconditioner is an LU factorization of the problem evaluated at the target
 (applied as the explicit inverse formed from it when the matrix is dense).
+Evaluations at theta (a scalar, math.inf or a ProjectivePoint) are
+PolyProblem's, taken at hom.canonical(theta).
 
 The consumers are
 
@@ -25,7 +27,6 @@ The consumers are
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import homogeneous as hom
-from .problems import IllConditionedError, dd_weights, norm1
+from .problems import IllConditionedError, norm1
 
 __all__ = [
     "LuPreconditioner",
@@ -159,13 +160,7 @@ def lu_preconditioner(problem, target):
     An infinite scalar target is the point (1, 0), where the homogeneous
     evaluation is A_m; P(inf) as a scalar evaluation has no finite entries.
     """
-    if not isinstance(target, hom.ProjectivePoint) and cmath.isinf(target):
-        target = hom.from_scalar(math.inf)
-    if isinstance(target, hom.ProjectivePoint):
-        A = hom.hom_eval(problem, hom.scale_canonical(target))
-    else:
-        A = problem.eval(complex(target))
-    return LuPreconditioner(A)
+    return LuPreconditioner(problem.eval(hom.canonical(target)))
 
 
 def gmres(A, b, tol=1e-8, maxiter=None, M=None):
@@ -281,30 +276,10 @@ def _weighted_matvec(coeffs, w, x):
 
 
 def _theta_weights(problem, theta):
-    """(theta, weights of F(theta), weights of F'(theta), residual scale).
-
-    F(theta) = sum_i w[i] A_i for the returned weights w, and likewise
-    F'(theta).  theta is a scalar (F = P, F' = P') or a ProjectivePoint
-    (the homogeneous evaluation and DP), which is returned as its
-    canonical representative, the point all of them are taken at.
-    """
-    m = problem.degree
-    if isinstance(theta, hom.ProjectivePoint):
-        p = hom.scale_canonical(theta)
-        return (p, hom.hom_weights(m, p), hom.hom_D_weights(m, p),
-                hom.hom_tolerance_scale(problem, p))
-    theta = complex(theta)
-    return (theta, theta ** np.arange(m + 1), dd_weights(m, theta, theta),
-            problem.tolerance_scale(abs(theta)))
-
-
-def _theta_eval(problem, theta):
-    """(F(theta), weights w of F'(theta) = sum_i w[i] A_i, residual scale),
-    with F(theta) assembled (Horner for a scalar theta)."""
-    theta, _, dw, scale = _theta_weights(problem, theta)
-    if isinstance(theta, hom.ProjectivePoint):
-        return hom.hom_eval(problem, theta), dw, scale
-    return problem.eval(theta), dw, scale
+    """(theta, weights of F(theta) and of F'(theta), residual scale), all at
+    theta = hom.canonical(theta), the representative returned."""
+    theta = hom.canonical(theta)
+    return (theta, *problem.weights(theta), problem.tolerance_scale(theta))
 
 
 def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6):
@@ -312,16 +287,14 @@ def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6)
 
     Forms F(theta) and p = F'(theta) v and solves the projected equation by
     _correction_solve, in complex arithmetic.  p is sum_i w[i] (A_i v) with
-    the derivative weights w (dd_weights at (theta, theta), or
-    hom_D_weights), so F'(theta) is never formed.  In homogeneous mode
-    theta is a ProjectivePoint and the homogeneous evaluation/derivative
-    take the roles of F(theta) and F'(theta).
+    the derivative weights w of PolyProblem.weights, so F'(theta) is never
+    formed; at a ProjectivePoint they are those of DP.
     """
     v = np.asarray(v, dtype=complex)
     r = np.asarray(r, dtype=complex)
-    Fmat, dw, _ = _theta_eval(problem, theta)
+    theta, _, dw, _ = _theta_weights(problem, theta)
     p = _weighted_matvec(problem.coeffs, dw, v)
-    return _correction_solve(Fmat, p, v, r, steps, M, tol)
+    return _correction_solve(problem.eval(theta), p, v, r, steps, M, tol)
 
 
 def _correction_solve(F, p, v, r, steps, M, tol=1e-6):
@@ -444,7 +417,7 @@ def _structured_left(problem, theta, x, rtol):
     * the null-vector test of null_vector, ||F(theta)* y|| <= rtol * scale;
     * the guard ||F(theta)* y|| / scale * kappa(theta) <=
       _STRUCTURED_LEFT_GUARD, kappa the condition number of
-      PolyProblem._condition or hom._hom_condition with the denominator
+      PolyProblem._condition (homogeneous at a point) with the denominator
       |y* F'(theta) x|.  A small residual is not enough near a defective
       eigenvalue: there x can be far from the left vector, and the
       registered rows y* A_i then block every later candidate.  On
@@ -466,13 +439,10 @@ def _structured_left(problem, theta, x, rtol):
         den = abs(dw @ (R @ x))
         if den == 0.0:
             continue
-        if isinstance(theta, hom.ProjectivePoint):
-            kappa = hom._hom_condition(problem, theta, den)
-        else:
-            try:
-                kappa = problem._condition(theta, den)
-            except IllConditionedError:
-                continue
+        try:
+            kappa = problem._condition(theta, den)
+        except IllConditionedError:
+            continue
         if res / scale * kappa <= _STRUCTURED_LEFT_GUARD:
             return y
     return None
@@ -481,10 +451,10 @@ def _structured_left(problem, theta, x, rtol):
 def left_eigenvector(problem, theta, x=None, rtol=1e-8, seed=0):
     """Left eigenvector y with F(theta)* y ~ 0 for a converged eigenvalue.
 
-    theta may be a scalar or a ProjectivePoint (for homogeneous solves,
-    including the infinite eigenvalue).  The null vector tolerance is rtol
-    times the residual scale sum_i |theta|^i ||A_i||_1 (its homogeneous
-    analogue for projective theta).  Given the right eigenvector x, the
+    theta may be a scalar, math.inf or a ProjectivePoint (for homogeneous
+    solves).  The null vector tolerance is rtol times the residual scale
+    sum_i |theta|^i ||A_i||_1 (its homogeneous analogue for projective
+    theta).  Given the right eigenvector x, the
     unit x and then conj(x) are tried first and returned if they pass
     _structured_left's residual and conditioning tests.  Otherwise y is
     the null vector of F(theta)*, solved through one LU factorization.
@@ -494,8 +464,8 @@ def left_eigenvector(problem, theta, x=None, rtol=1e-8, seed=0):
                              rtol)
         if y is not None:
             return y
-    F, _, scale = _theta_eval(problem, theta)
-    Z = F.conj().T
+    theta, _, _, scale = _theta_weights(problem, theta)
+    Z = problem.eval(theta).conj().T
     if sp.issparse(Z):
         Z = Z.tocsr()
     return null_vector(Z, tol=rtol * scale, seed=seed)

@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from . import homogeneous as hom
+
 __all__ = [
     "PolyProblem",
     "GeneralNep",
@@ -42,20 +44,16 @@ class IllConditionedError(ArithmeticError):
     """Condition number requested at a numerically defective eigenvalue."""
 
 
-def _is_sparse(M):
-    return sp.issparse(M)
-
-
 def to_dense(M):
     """Return M as a dense ndarray (no copy if already dense)."""
-    if _is_sparse(M):
+    if sp.issparse(M):
         return np.asarray(M.todense())
     return np.asarray(M)
 
 
 def norm1(M):
     """Matrix 1-norm (max absolute column sum) for dense or sparse M."""
-    if _is_sparse(M):
+    if sp.issparse(M):
         return float(abs(M).sum(axis=0).max()) if M.nnz else 0.0
     M = np.asarray(M)
     if M.size == 0:
@@ -117,6 +115,10 @@ def norm2_estimate(M, tol=1e-3, maxit=100):
 class PolyProblem:
     """Matrix polynomial P(lam) = sum_i lam^i A_i.
 
+    eval, derivative, weights, matvec, tolerance_scale and condition_number
+    also take a homogeneous.ProjectivePoint, as given, and run the hom_*
+    form there (DP in place of P').
+
     Parameters
     ----------
     coeffs : sequence of (n, n) arrays or sparse matrices
@@ -166,6 +168,8 @@ class PolyProblem:
         temporary per step, no write into a coefficient); sparse or mixed
         ones use the plain expression lam * P + A.
         """
+        if isinstance(lam, hom.ProjectivePoint):
+            return hom.hom_eval(self, lam)
         coeffs = self.coeffs
         if not all(isinstance(A, np.ndarray) for A in coeffs):
             P = coeffs[-1]
@@ -181,6 +185,8 @@ class PolyProblem:
 
     def derivative(self, lam):
         """P'(lam) = sum_i i lam^(i-1) A_i by Horner's scheme."""
+        if isinstance(lam, hom.ProjectivePoint):
+            return hom.hom_D(self, lam)
         m = self.degree
         P = m * self.coeffs[m]
         for i in range(m - 1, 0, -1):
@@ -200,8 +206,18 @@ class PolyProblem:
             D = D + w[k] * self.coeffs[k]
         return D
 
+    def weights(self, lam):
+        """(w, dw) with P(lam) = sum_i w[i] A_i and P'(lam) = sum_i dw[i] A_i,
+        or the weights of P(alpha, beta) and DP at a point."""
+        m = self.degree
+        if isinstance(lam, hom.ProjectivePoint):
+            return hom.hom_weights(m, lam), hom.hom_D_weights(m, lam)
+        return lam ** np.arange(m + 1), dd_weights(m, lam, lam)
+
     def matvec(self, lam, x):
         """P(lam) @ x without forming P when coefficients are sparse."""
+        if isinstance(lam, hom.ProjectivePoint):
+            return hom.hom_eval(self, lam) @ x
         acc = self.coeffs[0] @ x
         lp = 1.0
         for A in self.coeffs[1:]:
@@ -211,6 +227,8 @@ class PolyProblem:
 
     def tolerance_scale(self, theta):
         """sum_i |theta|^i ||A_i||_1, the residual scaling of the solver."""
+        if isinstance(theta, hom.ProjectivePoint):
+            return hom.hom_tolerance_scale(self, theta)
         t = abs(theta)
         return float(sum(self.norms1[i] * t**i for i in range(self.degree + 1)))
 
@@ -229,6 +247,8 @@ class PolyProblem:
     def _condition(self, lam, den):
         """condition_number from its denominator den = |y* P'(lam) x| for
         unit x and y, for a caller that has formed it already."""
+        if isinstance(lam, hom.ProjectivePoint):
+            return hom._hom_condition(self, lam, den)
         t = abs(lam)
         num = float(sum(self.norms2[i] * t**i for i in range(self.degree + 1)))
         if den <= 1e-300 * max(1.0, num):

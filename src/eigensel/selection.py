@@ -190,25 +190,21 @@ def register(problem, registry, theta, x, y, residual=math.nan,
              iteration=-1):
     """Normalize, validate simplicity, and append a triplet to the registry.
 
-    theta is a scalar, or a ProjectivePoint for the homogeneous form, whose
-    triplet keeps the canonical point.  Raises DefectiveEigenvalueError
-    when the criterion denominator |y* F'(lam) x| falls below
-    SIMPLICITY_RTOL * ||F'(lam)||_1 for unit x, y: such a value cannot be
-    used as a selection anchor.  Returns the new triplet.
+    theta is a scalar, or a ProjectivePoint or math.inf (the point (1, 0))
+    for the homogeneous form, whose triplet keeps hom.canonical(theta).
+    Raises DefectiveEigenvalueError when |y* F'(lam) x| falls below
+    SIMPLICITY_RTOL * ||F'(lam)||_1 for unit x, y: such a value cannot
+    anchor the selection criterion.  Returns the new triplet.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     x = x / np.linalg.norm(x)
     y = y / np.linalg.norm(y)
 
-    if isinstance(theta, hom.ProjectivePoint):
-        point = hom.scale_canonical(theta)
-        dF = hom.hom_D(problem, point)
-        value = point.to_scalar()
-    else:
-        point = None
-        value = complex(theta)
-        dF = problem.derivative(value)
+    theta = hom.canonical(theta)
+    point = theta if isinstance(theta, hom.ProjectivePoint) else None
+    value = theta if point is None else point.to_scalar()
+    dF = problem.derivative(theta)
     denom = complex(np.vdot(y, dF @ x))
     scale = norm1(dF)
     if abs(denom) < SIMPLICITY_RTOL * scale:
@@ -220,11 +216,8 @@ def register(problem, registry, theta, x, y, residual=math.nan,
     # condition numbers only for survivors; the defective branch above
     # would otherwise warn or raise twice for the same root cause.  They
     # reuse denom, so F'(lam) (or DP) is formed once per registration.
-    cond = math.nan
-    if point is not None:
-        cond = hom._hom_condition(problem, point, abs(denom))
-    elif hasattr(problem, "_condition"):
-        cond = problem._condition(value, abs(denom))
+    cond = (problem._condition(theta, abs(denom))
+            if hasattr(problem, "_condition") else math.nan)
     triplet = EigenTriplet(
         value=value,
         right=x,

@@ -144,7 +144,7 @@ class TestHomogeneousEvaluation:
         p = gen_random_pep(5, 2, seed=0)
         t = next(o for o in oracle_all_eigenpairs(p)
                  if o.ok and 0.5 < abs(o.value) < 5)
-        ch = hom.hom_condition_number(p, from_scalar(t.value), t.x, t.y)
+        ch = p.condition_number(from_scalar(t.value), t.x, t.y)
         cs = p.condition_number(t.value, t.x, t.y)
         np.testing.assert_allclose(ch * (1 + abs(t.value) ** 2), cs, rtol=1e-10)
 

@@ -3,6 +3,7 @@
 scipy.linalg direct solves are the reference for every system solved
 iteratively here.
 """
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -243,6 +244,15 @@ class TestLeftEigenvector:
     without a factorization where F(theta) is Hermitian or complex
     symmetric and the pair well conditioned."""
 
+    @pytest.mark.parametrize("theta", [math.inf,
+                                       hom.ProjectivePoint(1.0, 0.0)],
+                             ids=["inf", "point"])
+    def test_scalar_infinity_is_the_point(self, theta):
+        # math.inf is the point (1, 0), where F is A_1 and e_1 its null vector
+        p = PolyProblem([np.eye(3), np.diag([0.0, 1.0, 2.0])])
+        e1 = np.eye(3)[0]
+        np.testing.assert_array_equal(left_eigenvector(p, theta, e1), e1)
+
     def test_residual_meets_tolerance(self):
         p = gen_random_pep(12, 2, seed=0)
         oracle = [o for o in oracle_all_eigenpairs(p)
@@ -461,7 +471,7 @@ class TestDerivativeProduct:
     def test_standard_matches_derivative_matrix(self, m, theta):
         p = gen_random_pep(20, m, seed=m)
         v = np.random.default_rng(m).standard_normal(20) + 0.5j
-        _, w, _ = linsolve._theta_eval(p, theta)
+        _, w = p.weights(theta)
         got = linsolve._weighted_matvec(p.coeffs, w, v)
         want = p.derivative(theta) @ v
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -473,9 +483,9 @@ class TestDerivativeProduct:
     def test_homogeneous_matches_hom_D(self, pt, sparse):
         p = gen_gyroscopic(30, seed=2) if sparse else gen_random_pep(20, 3, seed=5)
         v = np.random.default_rng(7).standard_normal(p.n) + 0.25j
-        _, w, _ = linsolve._theta_eval(p, pt)
+        _, w = p.weights(pt)
         got = linsolve._weighted_matvec(p.coeffs, w, v)
-        want = hom.hom_D(p, hom.scale_canonical(pt)) @ v
+        want = hom.hom_D(p, pt) @ v
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_correction_forms_no_derivative_matrix(self, monkeypatch):
@@ -488,10 +498,7 @@ class TestDerivativeProduct:
         v = np.random.default_rng(3).standard_normal(15) + 0j
         v /= np.linalg.norm(v)
         for theta in (0.2 + 0.1j, hom.from_scalar(0.2 + 0.1j)):
-            if isinstance(theta, hom.ProjectivePoint):
-                r = hom.hom_eval(p, theta) @ v
-            else:
-                r = p.matvec(theta, v)
+            r = p.matvec(theta, v)
             t = projected_correction_solve(p, theta, v, r, steps=8)
             assert np.all(np.isfinite(t))
 

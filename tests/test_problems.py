@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigensel import homogeneous as hom
 from eigensel.problems import (
     GeneralNep,
     IllConditionedError,
@@ -260,6 +261,58 @@ class TestNorms:
         t = 2.5
         want = sum(abs(t) ** i * norm1(A) for i, A in enumerate(p.coeffs))
         np.testing.assert_allclose(p.tolerance_scale(t), want, rtol=1e-13)
+
+
+# dense of degree 1-3 and sparse; finite points, (1, 0) and |beta| = 1e-6
+CONTRACT_PROBLEMS = [lambda: gen_random_pep(6, 1, seed=1),
+                     lambda: gen_random_pep(6, 2, seed=2),
+                     lambda: gen_random_pep(6, 3, seed=3),
+                     lambda: gen_gyroscopic(30, seed=4)]
+CONTRACT_POINTS = [hom.from_scalar(0.4 - 1.3j),
+                   hom.ProjectivePoint(0.6j, -0.8),
+                   hom.ProjectivePoint(1.0, 0.0),
+                   hom.ProjectivePoint(1.0, 1e-6 * np.exp(0.3j))]
+
+
+def _bits(M):
+    M = to_dense(M)
+    return M.dtype, M.shape, M.tobytes()
+
+
+@pytest.mark.parametrize("make", CONTRACT_PROBLEMS,
+                         ids=["dense1", "dense2", "dense3", "gyroscopic"])
+class TestHomogeneousContract:
+    """At a ProjectivePoint every PolyProblem method returns its hom_*
+    value bit for bit, and weights reproduces eval and derivative at
+    scalars and points."""
+
+    @pytest.mark.parametrize("pt", CONTRACT_POINTS,
+                             ids=["finite", "finite2", "inf", "beta1e-6"])
+    def test_point_runs_hom(self, make, pt):
+        p = make()
+        rng = np.random.default_rng(0)
+        x, y = (rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+                for _ in range(2))
+        assert _bits(p.eval(pt)) == _bits(hom.hom_eval(p, pt))
+        assert _bits(p.derivative(pt)) == _bits(hom.hom_D(p, pt))
+        assert _bits(p.matvec(pt, x)) == _bits(hom.hom_eval(p, pt) @ x)
+        w, dw = p.weights(pt)
+        assert _bits(w) == _bits(hom.hom_weights(p.degree, pt))
+        assert _bits(dw) == _bits(hom.hom_D_weights(p.degree, pt))
+        assert p.tolerance_scale(pt) == hom.hom_tolerance_scale(p, pt)
+        xu, yu = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        den = abs(np.vdot(yu, hom.hom_D(p, pt) @ xu))
+        assert p.condition_number(pt, x, y) == hom._hom_condition(p, pt, den)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4 - 1.3j, 7.0 + 2.0j]
+                             + CONTRACT_POINTS)
+    def test_weights_reproduce_eval_and_derivative(self, make, theta):
+        p = make()
+        w, dw = p.weights(theta)
+        for weights, want in ((w, p.eval(theta)), (dw, p.derivative(theta))):
+            got = sum(wi * to_dense(A) for wi, A in zip(weights, p.coeffs))
+            want = to_dense(want)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestGenerators:

@@ -292,6 +292,19 @@ class TestRegister:
                               CandidatePair(hom.from_scalar(0.5), e1))
         assert np.isfinite(val)
 
+    def test_scalar_infinity_is_the_point(self):
+        # math.inf registers as the point (1, 0), where DP = -A_0, not as
+        # a scalar with P'(inf) = A_1 (singular here)
+        p = PolyProblem([np.eye(3), np.diag([0.0, 1.0, 2.0])])
+        e1 = np.eye(3)[0]
+        a = register(p, [], math.inf, e1, e1)
+        b = register(p, [], hom.ProjectivePoint(1.0, 0.0), e1, e1)
+        assert a.value == b.value == math.inf
+        assert a.denom == b.denom == -1.0
+        assert (a.point.alpha, a.point.beta) == (b.point.alpha, b.point.beta)
+        assert (a.point.alpha, a.point.beta) == (1.0, 0.0)
+        assert a.cond == b.cond
+
     @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
     def test_one_derivative_and_the_condition_number(self, mode, monkeypatch):
         # cond comes from the denominator register already formed: one
@@ -300,19 +313,15 @@ class TestRegister:
         o = next(x for x in oracle_all_eigenpairs(p)
                  if x.ok and np.isfinite(x.value))
         calls = []
-        derivative, hom_D = PolyProblem.derivative, hom.hom_D
+        derivative = PolyProblem.derivative
         monkeypatch.setattr(PolyProblem, "derivative", lambda self, lam: (
             calls.append(lam), derivative(self, lam))[1])
-        monkeypatch.setattr(hom, "hom_D", lambda problem, pt: (
-            calls.append(pt), hom_D(problem, pt))[1])
         theta = o.point if mode == "homogeneous" else o.value
         t = register(p, [], theta, 2.0 * o.x, 1j * o.y)
         assert len(calls) == 1
         monkeypatch.undo()
-        if mode == "homogeneous":
-            ref = hom.hom_condition_number(p, t.point, t.right, t.left)
-        else:
-            ref = p.condition_number(t.value, t.right, t.left)
+        at = t.point if mode == "homogeneous" else t.value
+        ref = p.condition_number(at, t.right, t.left)
         np.testing.assert_allclose(t.cond, ref, rtol=1e-12)
 
     def test_homogeneous_self_score_one(self):
