@@ -211,9 +211,11 @@ def cmd_solve(args):
 
 
 def _result_point(d):
+    """The canonical point (hom.scale_canonical) of a results.json pair:
+    its stored point, or its value as a point."""
     if "point" in d:
         return hom.scale_canonical(mmio.from_json(d["point"]))
-    return hom.from_scalar(mmio.from_json(d["value"]))
+    return hom.scale_canonical(hom.from_scalar(mmio.from_json(d["value"])))
 
 
 def _relres(r, scale, x):
@@ -259,6 +261,10 @@ _ROUNDING = 1e-12
 def _local_eigenvalue(problem, point):
     """The eigenvalue of a PEP nearest a projective point, or None.
 
+    P is factored at point as given, so a caller passes it canonical
+    (hom.scale_canonical, as _result_point gives it); canonicalizing it
+    again would move its last bits.
+
     Inverse iteration with the shift-and-invert operator of the companion
     pencil (X, Y) (jdsolver._linearize) at sigma = (a, b):
     T = (b X - a Y)^{-1} (d X - c Y) with (c, d) = (-conj(b), conj(a)).
@@ -283,12 +289,11 @@ def _local_eigenvalue(problem, point):
     iterating on the regularized factor would split a defective eigenvalue,
     such as the infinite one of gen_gyroscopic, into two of equal distance.
     """
-    s = hom.scale_canonical(point)
-    coeffs, (a, b) = problem.coeffs, (s.alpha, s.beta)
-    Z = problem.eval(s)
+    coeffs, (a, b) = problem.coeffs, (point.alpha, point.beta)
+    Z = problem.eval(point)
     solve, singular = linsolve._direct_solver(Z)
     if singular:
-        return s
+        return point
     swap = abs(a) > abs(b)
     if swap:
         coeffs, (a, b) = coeffs[::-1], (b, a)

@@ -37,6 +37,7 @@ import scipy.sparse.linalg as spla
 
 from . import homogeneous as hom
 from .problems import IllConditionedError, norm1
+from .selection import ERROR_BOUND_GUARD
 
 __all__ = [
     "LuPreconditioner",
@@ -158,7 +159,7 @@ def lu_preconditioner(problem, target):
     """LU of the problem evaluated at the target (scalar or projective).
 
     An infinite scalar target is the point (1, 0), where the homogeneous
-    evaluation is A_m; P(inf) as a scalar evaluation has no finite entries.
+    evaluation is A_m.
     """
     return LuPreconditioner(problem.eval(hom.canonical(target)))
 
@@ -396,13 +397,6 @@ def null_vector(Z, tol, seed=0):
     )
 
 
-# Largest relative left residual times the condition number of theta at
-# which x or conj(x) is taken as the left eigenvector without a
-# factorization: eta / 10 for the recommended criterion threshold
-# eta = 0.1 (selection.RECOMMENDED_ETA).
-_STRUCTURED_LEFT_GUARD = 1e-2
-
-
 def _structured_left(problem, theta, x, rtol):
     """The unit x or conj(x) if it is a left eigenvector at theta, else None.
 
@@ -416,14 +410,16 @@ def _structured_left(problem, theta, x, rtol):
 
     * the null-vector test of null_vector, ||F(theta)* y|| <= rtol * scale;
     * the guard ||F(theta)* y|| / scale * kappa(theta) <=
-      _STRUCTURED_LEFT_GUARD, kappa the condition number of
+      selection.ERROR_BOUND_GUARD, kappa the condition number of
       PolyProblem._condition (homogeneous at a point) with the denominator
       |y* F'(theta) x|.  A small residual is not enough near a defective
       eigenvalue: there x can be far from the left vector, and the
       registered rows y* A_i then block every later candidate.  On
       gen_gyroscopic(200) at target 80i the near-infinite pair 26101i has
       product 0.14, and registering x for it stalled the solve at 6 of 8
-      pairs; the other pairs of that solve sit below 3e-4.
+      pairs; the other pairs of that solve sit below 3e-4.  Such a pair
+      fails this guard and takes the LU, and then register refuses it
+      too, by the same bound on its right residual, and blocks it.
 
     A zero denominator or an infinite condition number fails the guard
     silently.
@@ -443,7 +439,7 @@ def _structured_left(problem, theta, x, rtol):
             kappa = problem._condition(theta, den)
         except IllConditionedError:
             continue
-        if res / scale * kappa <= _STRUCTURED_LEFT_GUARD:
+        if res / scale * kappa <= ERROR_BOUND_GUARD:
             return y
     return None
 

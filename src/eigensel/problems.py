@@ -21,6 +21,8 @@ operations only rely on scalar multiplication, addition and matvec.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -112,12 +114,21 @@ def norm2_estimate(M, tol=1e-3, maxit=100):
     return sigma
 
 
+def _at(lam):
+    """lam as given, except a scalar infinity, which is the point (1, 0):
+    there the homogeneous form is finite.  Finite scalars keep their type,
+    so a real evaluation stays real."""
+    if not isinstance(lam, hom.ProjectivePoint) and cmath.isinf(lam):
+        return hom.ProjectivePoint(1.0, 0.0)
+    return lam
+
+
 class PolyProblem:
     """Matrix polynomial P(lam) = sum_i lam^i A_i.
 
     eval, derivative, weights, matvec, tolerance_scale and condition_number
     also take a homogeneous.ProjectivePoint, as given, and run the hom_*
-    form there (DP in place of P').
+    form there (DP in place of P'); a scalar infinity is the point (1, 0).
 
     Parameters
     ----------
@@ -168,6 +179,7 @@ class PolyProblem:
         temporary per step, no write into a coefficient); sparse or mixed
         ones use the plain expression lam * P + A.
         """
+        lam = _at(lam)
         if isinstance(lam, hom.ProjectivePoint):
             return hom.hom_eval(self, lam)
         coeffs = self.coeffs
@@ -185,6 +197,7 @@ class PolyProblem:
 
     def derivative(self, lam):
         """P'(lam) = sum_i i lam^(i-1) A_i by Horner's scheme."""
+        lam = _at(lam)
         if isinstance(lam, hom.ProjectivePoint):
             return hom.hom_D(self, lam)
         m = self.degree
@@ -210,12 +223,14 @@ class PolyProblem:
         """(w, dw) with P(lam) = sum_i w[i] A_i and P'(lam) = sum_i dw[i] A_i,
         or the weights of P(alpha, beta) and DP at a point."""
         m = self.degree
+        lam = _at(lam)
         if isinstance(lam, hom.ProjectivePoint):
             return hom.hom_weights(m, lam), hom.hom_D_weights(m, lam)
         return lam ** np.arange(m + 1), dd_weights(m, lam, lam)
 
     def matvec(self, lam, x):
         """P(lam) @ x without forming P when coefficients are sparse."""
+        lam = _at(lam)
         if isinstance(lam, hom.ProjectivePoint):
             return hom.hom_eval(self, lam) @ x
         acc = self.coeffs[0] @ x
@@ -227,6 +242,7 @@ class PolyProblem:
 
     def tolerance_scale(self, theta):
         """sum_i |theta|^i ||A_i||_1, the residual scaling of the solver."""
+        theta = _at(theta)
         if isinstance(theta, hom.ProjectivePoint):
             return hom.hom_tolerance_scale(self, theta)
         t = abs(theta)
@@ -247,6 +263,7 @@ class PolyProblem:
     def _condition(self, lam, den):
         """condition_number from its denominator den = |y* P'(lam) x| for
         unit x and y, for a caller that has formed it already."""
+        lam = _at(lam)
         if isinstance(lam, hom.ProjectivePoint):
             return hom._hom_condition(self, lam, den)
         t = abs(lam)

@@ -61,9 +61,16 @@ SIMPLICITY_RTOL = 1e-12
 
 RECOMMENDED_ETA = 0.1
 
+# Largest first-order error bound kappa(lam) * rho (Tisseur, LAA 309, 2000;
+# rho the relative residual) of a value that may anchor the criterion, and
+# of a pair whose x or conj(x) is taken as its left vector
+# (linsolve._structured_left): RECOMMENDED_ETA / 10.
+ERROR_BOUND_GUARD = 1e-2
+
 
 class DefectiveEigenvalueError(ValueError):
-    """Raised when a triplet fails the simplicity threshold at registration."""
+    """Raised when a triplet fails the simplicity threshold or the error
+    bound guard at registration."""
 
 
 @dataclass
@@ -193,8 +200,14 @@ def register(problem, registry, theta, x, y, residual=math.nan,
     theta is a scalar, or a ProjectivePoint or math.inf (the point (1, 0))
     for the homogeneous form, whose triplet keeps hom.canonical(theta).
     Raises DefectiveEigenvalueError when |y* F'(lam) x| falls below
-    SIMPLICITY_RTOL * ||F'(lam)||_1 for unit x, y: such a value cannot
-    anchor the selection criterion.  Returns the new triplet.
+    SIMPLICITY_RTOL * ||F'(lam)||_1 for unit x, y, or when the error bound
+    cond * residual exceeds ERROR_BOUND_GUARD: such a value is not
+    determined well enough to anchor the selection criterion.  Next to a
+    defective eigenvalue, such as the infinite one of gen_gyroscopic, the
+    denominator passes the first test while cond * residual does not: at
+    target 80i gen_gyroscopic(200) registered the near-infinite 26101i
+    (product 0.14) at tol 1e-4, and infinity itself twice at tol 1e-8.  A
+    NaN residual skips the guard.  Returns the new triplet.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -218,6 +231,12 @@ def register(problem, registry, theta, x, y, residual=math.nan,
     # reuse denom, so F'(lam) (or DP) is formed once per registration.
     cond = (problem._condition(theta, abs(denom))
             if hasattr(problem, "_condition") else math.nan)
+    if cond * residual > ERROR_BOUND_GUARD:
+        raise DefectiveEigenvalueError(
+            f"error bound cond * residual = {cond:.3e} * {residual:.3e} "
+            f"exceeds {ERROR_BOUND_GUARD:g}: eigenvalue is too ill "
+            "determined to anchor the selection criterion"
+        )
     triplet = EigenTriplet(
         value=value,
         right=x,

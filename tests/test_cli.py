@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from eigensel import cli, jdsolver, mmio
-from eigensel.homogeneous import ProjectivePoint, chordal_distance, from_scalar
+from eigensel.homogeneous import (
+    ProjectivePoint,
+    chordal_distance,
+    from_scalar,
+    scale_canonical,
+)
 from eigensel.jdsolver import JDOptions, jd_solve
 from eigensel.mep import LinearMep3, MepOptions
 from eigensel.problems import (
@@ -348,27 +353,47 @@ class TestLocalEigenvalue:
     """verify's local check finds the dense oracle's eigenvalue nearest
     each returned pair."""
 
-    @pytest.mark.parametrize("problem, opts", [
-        (gen_random_pep(12, 1, seed=1), {}),
-        (gen_random_pep(12, 2, seed=2), {}),
-        (gen_random_pep(12, 3, seed=3), {}),
-        (gen_random_pep(12, 2, seed=0, symmetric=True), {}),
-        (_singular_lead_qep(), {"target": math.inf, "mode": "homogeneous"}),
+    @pytest.mark.parametrize("problem, opts, infinity", [
+        (gen_random_pep(12, 1, seed=1), {}, None),
+        (gen_random_pep(12, 2, seed=2), {}, None),
+        (gen_random_pep(12, 3, seed=3), {}, None),
+        (gen_random_pep(12, 2, seed=0, symmetric=True), {}, None),
+        (_singular_lead_qep(), {"target": math.inf, "mode": "homogeneous"},
+         "registered"),
         (gen_gyroscopic(30), {"target": 5j, "mode": "homogeneous",
-                              "mindim": 6, "maxdim": 12, "tol": 1e-8}),
+                              "mindim": 6, "maxdim": 12, "tol": 1e-8}, None),
         (gen_gyroscopic(30), {"target": math.inf, "mode": "homogeneous",
-                              "mindim": 6, "maxdim": 12, "tol": 1e-8}),
+                              "mindim": 6, "maxdim": 12, "tol": 1e-8},
+         "blocked"),
     ], ids=["degree1", "degree2", "degree3", "symmetric", "singular_lead",
             "gyroscopic", "gyroscopic_inf"])
     @pytest.mark.filterwarnings("ignore:matrix is exactly singular")
-    def test_matches_oracle(self, problem, opts):
+    def test_matches_oracle(self, problem, opts, infinity):
         opts = JDOptions(**{"num_pairs": 3, "mindim": 3, "maxdim": 8,
                             "tol": 1e-10, **opts})
-        registry = jd_solve(problem, opts).registry
+        res = jd_solve(problem, opts)
+        registry = res.registry
         assert len(registry) == 3
-        if opts.target == math.inf:
+        pairs = jdsolver.oracle_all_eigenpairs(problem)
+        if infinity == "registered":
             assert any(t.point.is_infinite for t in registry)
-        oracle = [o.point for o in jdsolver.oracle_all_eigenpairs(problem)]
+        elif infinity == "blocked":
+            # the infinite eigenvalue of gen_gyroscopic is defective: once
+            # registered with kappa 2.9e10 at residual 6.0e-9, an error
+            # bound of 173, it is now refused and blocked, and the registry
+            # holds the finite values nearest infinity, +-38.81i and one of
+            # +-25.51i
+            assert any(b.is_infinite for b in res.blocked)
+            far = sorted((o.value for o in pairs
+                          if not o.point.is_infinite), key=abs)[-4:]
+
+            def registered(lam):
+                return any(abs(t.value - lam) <= 1e-8 * abs(lam)
+                           for t in registry)
+
+            assert registered(far[2]) and registered(far[3])
+            assert registered(far[0]) or registered(far[1])
+        oracle = [o.point for o in pairs]
         for t in registry:
             point = cli._result_point(mmio.to_json(t))
             local = cli._local_eigenvalue(problem, point)
@@ -378,6 +403,29 @@ class TestLocalEigenvalue:
             else:
                 lam = nearest.to_scalar()
                 assert abs(local.to_scalar() - lam) <= 1e-10 * max(1, abs(lam))
+
+    def test_factors_at_the_result_point(self, monkeypatch):
+        # verify factors P at the point _result_point read, bit for bit;
+        # canonicalizing that point again would move the last bits of
+        # about half of all points
+        problem = gen_random_pep(8, 2, seed=4)
+        pairs = jdsolver.oracle_all_eigenpairs(problem)[:6]
+        phase = complex(math.cos(1.1), math.sin(1.1))
+        results = {"config": {"mode": "homogeneous", "tol": 1e-8},
+                   "pairs": [{"value": mmio.to_json(o.value),
+                              "point": mmio.to_json(o.point.scaled(phase)),
+                              "right": mmio.to_json(o.x)} for o in pairs]}
+        points = [cli._result_point(d) for d in results["pairs"]]
+        assert any((q.alpha, q.beta) != (r.alpha, r.beta)
+                   for q, r in zip(points, map(scale_canonical, points)))
+        seen = []
+        evaluate = problem.eval
+        monkeypatch.setattr(problem, "eval",
+                            lambda lam: seen.append(lam) or evaluate(lam))
+        ok, _ = cli._verify_pep(problem, results, 1e-6)
+        assert ok
+        assert [(q.alpha, q.beta) for q in seen] == [(q.alpha, q.beta)
+                                                     for q in points]
 
     def test_shift_away_from_the_eigenvalue(self):
         # a shift 2% of the gap away: estimates must settle on the exact

@@ -246,19 +246,62 @@ class TestHomogeneousMode:
         assert any(r.event.startswith("rejected") for r in res.records)
 
     def test_readme_chain_registers_eight_within_100_iterations(self):
-        # the README's gyroscopic chain at tol 1e-4 first registers 26101i,
-        # a near-infinite stand-in with kappa ~ 4e3 whose converged x has
-        # residual * kappa ~ 0.14.  Q(theta) is Hermitian there, but x is a
-        # poor left vector: registered as one, its rows block every later
-        # candidate and the solve stalls at 6 of 8 pairs after 800
-        # iterations.  The conditioning guard sends it to the LU instead,
-        # and all 8 pairs come in 20 iterations.
+        # the README's gyroscopic chain at tol 1e-4.  From a raw random
+        # start it first converged to 26101i, a near-infinite stand-in with
+        # kappa ~ 4e3 and residual * kappa ~ 0.14; registered with its x as
+        # the left vector, its rows blocked every later candidate and the
+        # solve stalled at 6 of 8 pairs after 800 iterations.  From the
+        # start LU(P(target))^-1 rho the infinite value converges first, at
+        # kappa * residual ~ 0.4, and register refuses it as it would
+        # 26101i: neither is determined well enough to anchor the
+        # criterion.  All 8 finite pairs come in 21 iterations.
         p = gen_gyroscopic(200, seed=0)
         res = jd_solve(p, JDOptions(target=80j, num_pairs=8, tol=1e-4,
                                     mindim=10, maxdim=20, max_outer=100,
                                     mode="homogeneous", seed=0))
         assert not res.truncated
         assert len(res.registry) == 8
+
+    def test_readme_chain_at_tol_1e8_blocks_infinity(self):
+        # at tol 1e-8 the chain used to register the defective infinite
+        # eigenvalue twice (iterations 12 and 18, kappa 4e7 and 4e11) and
+        # stop at 4 of 8 pairs after 800 iterations, with verify reporting
+        # duplicates.  The error bound guard of register refuses it.
+        p = gen_gyroscopic(200, seed=0)
+        res = jd_solve(p, JDOptions(target=80j, num_pairs=8, tol=1e-8,
+                                    mindim=10, maxdim=20, max_outer=800,
+                                    mode="homogeneous", seed=0))
+        assert not res.truncated
+        assert len(res.registry) == 8
+        assert not any(t.point.is_infinite for t in res.registry)
+        assert any(b.is_infinite for b in res.blocked)
+        for i, t in enumerate(res.registry):
+            for u in res.registry[:i]:
+                assert hom.chordal_distance(t.point, u.point) > 1e-6
+
+    @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
+    def test_start_vector(self, mode, monkeypatch):
+        # homogeneous mode starts from one solve with the LU of P(target)
+        # on the seeded draw, standard mode from the draw itself
+        appended = []
+
+        class Space(jdsolver.SearchSpace):
+            def append(self, t, fill=True):
+                v = super().append(t, fill)
+                appended.append(v)
+                return v
+
+        monkeypatch.setattr(jdsolver, "SearchSpace", Space)
+        p = gen_gyroscopic(40, seed=0)
+        opts = JDOptions(target=5j, num_pairs=1, mindim=4, maxdim=8,
+                         max_outer=1, mode=mode, seed=3)
+        jd_solve(p, opts)
+        rng = np.random.default_rng(opts.seed)
+        start = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+        if mode == "homogeneous":
+            start = linsolve.lu_preconditioner(p, opts.target).solve(start)
+        cos = abs(np.vdot(appended[0], start)) / np.linalg.norm(start)
+        assert cos >= 1.0 - 1e-12
 
     def test_finite_values_verified_chordally(self):
         p = gen_gyroscopic(40, seed=0)

@@ -26,6 +26,7 @@ from eigensel.linsolve import (
 )
 from eigensel.problems import PolyProblem, gen_gyroscopic, gen_random_pep
 from eigensel.problems import norm1
+from eigensel.selection import ERROR_BOUND_GUARD
 
 
 def random_system(n, seed, cond_boost=0.0):
@@ -335,7 +336,7 @@ class TestLeftEigenvector:
         scale = p.tolerance_scale(abs(lam))
         res = np.linalg.norm(p.eval(lam).conj().T @ x) / scale
         kappa = p.condition_number(lam, x, x)
-        assert res <= 1e-3 and res * kappa > linsolve._STRUCTURED_LEFT_GUARD
+        assert res <= 1e-3 and res * kappa > ERROR_BOUND_GUARD
         calls = _lu_spy(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

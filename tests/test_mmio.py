@@ -17,7 +17,7 @@ from eigensel.mep import (
     gen_random_mep,
     mep_subspace_solve,
 )
-from eigensel.problems import gen_gyroscopic, gen_random_pep
+from eigensel.problems import PolyProblem, gen_gyroscopic, gen_random_pep
 
 # -- reference encoders: the per-class code mmio.to_json replaced ----------
 
@@ -89,19 +89,31 @@ def written(payload):
 # -- encoder against the references ----------------------------------------
 
 
+def singular_lead_qep():
+    """A quadratic whose leading coefficient has rank 5 of 8: three simple
+    infinite eigenvalues, which register."""
+    rng = np.random.default_rng(5)
+    A0, A1 = (rng.standard_normal((8, 8)) for _ in range(2))
+    return PolyProblem([A0, A1, np.diag([1.0] * 5 + [0.0] * 3)])
+
+
 @pytest.mark.filterwarnings("ignore:matrix is exactly singular")
-@pytest.mark.parametrize("problem, opts", [
-    (gen_random_pep(12, 2, seed=2), {}),
+@pytest.mark.parametrize("problem, opts, infinite", [
+    (gen_random_pep(12, 2, seed=2), {}, False),
+    # the infinite eigenvalue of gen_gyroscopic is defective and blocked,
+    # so only finite points are registered at the target infinity
     (gen_gyroscopic(30), {"target": math.inf, "mode": "homogeneous",
-                          "mindim": 6, "maxdim": 12, "tol": 1e-8}),
-], ids=["standard", "homogeneous_inf"])
-def test_jd_registry_matches_reference(problem, opts):
+                          "mindim": 6, "maxdim": 12, "tol": 1e-8}, False),
+    (singular_lead_qep(), {"target": math.inf, "mode": "homogeneous"}, True),
+], ids=["standard", "homogeneous", "homogeneous_inf"])
+def test_jd_registry_matches_reference(problem, opts, infinite):
     opts = JDOptions(**{"num_pairs": 3, "mindim": 3, "maxdim": 8,
                         "tol": 1e-10, **opts})
     registry = jd_solve(problem, opts).registry
     assert len(registry) == 3
     if opts.mode == "homogeneous":
-        assert any(t.point.is_infinite for t in registry)
+        assert all(t.point is not None for t in registry)
+        assert any(t.point.is_infinite for t in registry) == infinite
     else:
         assert all(t.point is None for t in registry)
     assert written(mmio.to_json(registry)) == written(

@@ -4,6 +4,8 @@ Ground truth throughout: the naive difference quotient
 (P(lam) - P(theta)) / (lam - theta), explicit power sums, and
 numpy.linalg reference norms.
 """
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -303,6 +305,24 @@ class TestHomogeneousContract:
         xu, yu = x / np.linalg.norm(x), y / np.linalg.norm(y)
         den = abs(np.vdot(yu, hom.hom_D(p, pt) @ xu))
         assert p.condition_number(pt, x, y) == hom._hom_condition(p, pt, den)
+
+    def test_scalar_infinity_is_the_point(self, make):
+        # math.inf has no finite scalar evaluation; every method takes it
+        # as the point (1, 0), bit for bit
+        p, inf = make(), hom.ProjectivePoint(1.0, 0.0)
+        rng = np.random.default_rng(1)
+        x, y = (rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+                for _ in range(2))
+        assert _bits(p.eval(math.inf)) == _bits(p.eval(inf))
+        assert _bits(p.derivative(math.inf)) == _bits(p.derivative(inf))
+        assert _bits(p.matvec(math.inf, x)) == _bits(p.matvec(inf, x))
+        for got, want in zip(p.weights(math.inf), p.weights(inf)):
+            assert _bits(got) == _bits(want)
+        assert p.tolerance_scale(math.inf) == p.tolerance_scale(inf)
+        assert math.isfinite(p.tolerance_scale(math.inf))
+        assert p._condition(math.inf, 0.25) == p._condition(inf, 0.25)
+        assert (p.condition_number(math.inf, x, y)
+                == p.condition_number(inf, x, y))
 
     @pytest.mark.parametrize("theta", [0.0, 0.4 - 1.3j, 7.0 + 2.0j]
                              + CONTRACT_POINTS)

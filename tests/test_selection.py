@@ -17,6 +17,7 @@ from eigensel.jdsolver import JDOptions, oracle_all_eigenpairs
 from eigensel.mep import MepOptions, gen_random_mep
 from eigensel.problems import PolyProblem, gen_example_2x2, gen_random_pep
 from eigensel.selection import (
+    ERROR_BOUND_GUARD,
     RECOMMENDED_ETA,
     CandidatePair,
     DefectiveEigenvalueError,
@@ -304,6 +305,25 @@ class TestRegister:
         assert (a.point.alpha, a.point.beta) == (b.point.alpha, b.point.beta)
         assert (a.point.alpha, a.point.beta) == (1.0, 0.0)
         assert a.cond == b.cond
+
+    @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
+    def test_error_bound_guard(self, mode):
+        # cond * residual, the first-order error bound of the value, must
+        # not exceed ERROR_BOUND_GUARD; a NaN residual skips the guard
+        p = gen_random_pep(5, 2, seed=9)
+        o = next(x for x in oracle_all_eigenpairs(p)
+                 if x.ok and np.isfinite(x.value))
+        theta = o.point if mode == "homogeneous" else o.value
+        kappa = register(p, [], theta, o.x, o.y).cond
+        registry = []
+        with pytest.raises(DefectiveEigenvalueError, match="error bound"):
+            register(p, registry, theta, o.x, o.y,
+                     residual=2.0 * ERROR_BOUND_GUARD / kappa)
+        assert registry == []
+        t = register(p, registry, theta, o.x, o.y,
+                     residual=0.5 * ERROR_BOUND_GUARD / kappa)
+        assert registry == [t] and t.cond == kappa
+        assert register(p, [], theta, o.x, o.y, residual=math.nan).cond == kappa
 
     @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
     def test_one_derivative_and_the_condition_number(self, mode, monkeypatch):
