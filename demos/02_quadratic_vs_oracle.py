@@ -6,7 +6,8 @@ against the brute-force companion linearization.
 """
 import numpy as np
 
-from eigensel.jdsolver import JDOptions, jd_solve, oracle_all_eigenpairs
+from eigensel.jdsolver import JDOptions, jd_solve
+from eigensel.oracle import oracle_all_eigenpairs
 from eigensel.problems import gen_random_pep
 
 prob = gen_random_pep(n=20, m=2, seed=7)

@@ -15,31 +15,26 @@ Layout:
     selection    registry, divided-difference criterion, registration
     linsolve     GMRES, LU preconditioning, correction and null-vector solves
     jdsolver     the selection loop of both solvers, jd_solve for
-                 one-parameter problems, dense oracles
+                 one-parameter problems
     mep          linear two/three-parameter problems, tensor criterion,
                  mep_subspace_solve on jdsolver's selection loop
+    oracle       dense brute-force references: oracle_all_eigenpairs for
+                 PEPs, dense_solve for MEPs; no solver or CLI path uses them
 """
 
-from . import homogeneous, jdsolver, linsolve, mep, problems, selection
+from . import homogeneous, jdsolver, linsolve, mep, oracle, problems, selection
 from .homogeneous import ProjectivePoint, chordal_distance, from_scalar
-from .jdsolver import (
-    JDOptions,
-    OracleCapError,
-    Record,
-    SolveResult,
-    jd_solve,
-    oracle_all_eigenpairs,
-)
+from .jdsolver import JDOptions, Record, SolveResult, jd_solve
 from .mep import (
     LinearMep2,
     LinearMep3,
     MepOptions,
-    dense_solve,
     gen_fourpoint_bvp,
     gen_random_mep,
     mep_subspace_solve,
     oscillation_index,
 )
+from .oracle import OracleCapError, dense_solve, oracle_all_eigenpairs
 from .problems import (
     GeneralNep,
     PolyProblem,
@@ -50,6 +45,7 @@ from .problems import (
 from .selection import (
     DefectiveEigenvalueError,
     EigenTriplet,
+    ErrorBoundError,
     criterion_value,
     passes,
     register,
@@ -62,6 +58,7 @@ __all__ = [
     "jdsolver",
     "linsolve",
     "mep",
+    "oracle",
     "problems",
     "selection",
     "ProjectivePoint",
@@ -88,6 +85,7 @@ __all__ = [
     "gen_random_pep",
     "DefectiveEigenvalueError",
     "EigenTriplet",
+    "ErrorBoundError",
     "criterion_value",
     "passes",
     "register",

@@ -42,9 +42,6 @@ homogeneous evaluation, and the correction equation uses the homogeneous
 derivative operator.  A defective one, such as the infinite eigenvalue of
 gen_gyroscopic, converges with a huge condition number and fails the
 error bound guard, so it is blocked rather than registered.
-
-oracle_all_eigenpairs provides the dense brute-force reference (all 2n / mn
-eigenvalues with left and right eigenvectors) used by the tests.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import os
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -61,7 +57,6 @@ import scipy.linalg as sla
 
 from . import homogeneous as hom
 from . import linsolve
-from .problems import to_dense
 from .selection import (
     CandidatePair,
     DefectiveEigenvalueError,
@@ -75,16 +70,10 @@ __all__ = [
     "SolveResult",
     "Record",
     "SearchSpace",
-    "OracleCapError",
-    "OraclePair",
     "rgs",
     "extract_candidates",
     "jd_solve",
-    "oracle_all_eigenpairs",
 ]
-
-ORACLE_CAP_ENV = "EIGENSEL_ORACLE_CAP"
-DEFAULT_ORACLE_CAP = 2000
 
 # |beta| below this on a normalized projected eigenvalue counts as infinite.
 _BETA_CUT = 1e-12
@@ -375,14 +364,6 @@ def _linearize(coeffs):
     k = coeffs[-1].shape[0]
     Y[-k:, -k:] = coeffs[-1]
     return X, Y
-
-
-def _best_block(z, k):
-    """Strongest k-block of a companion eigenvector [c, theta c, ...]."""
-    blocks = z.reshape(-1, k)
-    norms = np.linalg.norm(blocks, axis=1)
-    c = blocks[int(np.argmax(norms))]
-    return c / np.linalg.norm(c)
 
 
 def _harmonic_coeffs(space, target):
@@ -699,77 +680,3 @@ def jd_solve(problem, options=None):
             M=M)],
         basis=lambda c: [c.v],
     )
-
-
-class OracleCapError(ValueError):
-    """Raised when a dense oracle would exceed the size cap."""
-
-
-@dataclass
-class OraclePair:
-    """One eigenvalue from the dense oracle with vectors and residuals."""
-
-    value: complex  # math.inf for the infinite eigenvalue
-    point: hom.ProjectivePoint
-    x: np.ndarray
-    y: np.ndarray
-    res_right: float
-    res_left: float
-    ok: bool
-
-
-def _oracle_cap(cap):
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_ORACLE_CAP
-
-
-def oracle_all_eigenpairs(problem, cap=None, residual_rtol=1e-8):
-    """All eigenpairs of a PEP by dense linearization (brute force).
-
-    Solves the mn-dimensional companion pencil with the QZ algorithm,
-    extracting right eigenvectors from the strongest block and left
-    eigenvectors of the polynomial from the last block of the pencil's left
-    eigenvectors (for the infinite eigenvalue these are null vectors of A_m
-    on both sides).  Pairs whose scaled residual exceeds residual_rtol are
-    flagged ok=False rather than dropped.
-
-    The linearization dimension m*n must not exceed the cap (default 2000,
-    overridable by the EIGENSEL_ORACLE_CAP environment variable or the cap
-    argument); OracleCapError otherwise.
-    """
-    n = problem.n
-    m = problem.degree
-    limit = _oracle_cap(cap)
-    if m * n > limit:
-        raise OracleCapError(
-            f"linearization dimension {m * n} exceeds the oracle cap {limit}; "
-            f"raise {ORACLE_CAP_ENV} to override"
-        )
-    X, Y = _linearize([to_dense(A).astype(complex) for A in problem.coeffs])
-    ab, VL, VR = sla.eig(X, Y, left=True, right=True, homogeneous_eigvals=True,
-                         check_finite=False)
-    alphas, betas = ab
-    pairs = []
-    for j in range(alphas.shape[0]):
-        a, b = alphas[j], betas[j]
-        nrm = math.hypot(abs(a), abs(b))
-        if nrm < 1e-280 or not np.isfinite(nrm):
-            continue  # degenerate: alpha = beta = 0 or not finite
-        pt = hom.scale_canonical(hom.ProjectivePoint(a / nrm, b / nrm))
-        x = _best_block(VR[:, j], n)
-        y = VL[(m - 1) * n:, j]
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            continue
-        y = y / ny
-        value = pt.to_scalar()  # PolyProblem takes math.inf as (1, 0)
-        scale = problem.tolerance_scale(value) or 1.0
-        rr = float(np.linalg.norm(problem.matvec(value, x))) / scale
-        rl = float(np.linalg.norm(problem.eval(value).conj().T @ y)) / scale
-        pairs.append(
-            OraclePair(value, pt, x, y, rr, rl,
-                       ok=(rr <= residual_rtol and rl <= residual_rtol))
-        )
-    return pairs

@@ -18,10 +18,8 @@ the parameter Jacobian det [y_i* dT_i/dlam_j x_i], nonzero exactly at simple
 eigenvalues, so the normalized sandwich plays the role of the selection
 criterion.
 
-dense_solve is the brute-force oracle on the full tensor space: a
-two-sided QZ of the Delta pencil with left and right factor vectors and
-residual self-checks.  mep_subspace_solve runs jdsolver's selection loop
-with one search space per factor and the sandwich criterion steering it.
+mep_subspace_solve runs jdsolver's selection loop with one search space
+per factor and the sandwich criterion steering it.
 Every part it does not need of its own is the one-parameter one: the
 per-factor correction is linsolve's projected correction with p = v
 (Hochstenbach, Kosir & Plestenjak, SIMAX 26, 2005), and the blocked
@@ -33,7 +31,8 @@ arrays.  Factor vectors are split off only for the candidates the
 selection walk reads, as fibers of the projected eigenvector: at a simple
 tuple it is an exact tensor product, so no rank-one SVD is needed.  A real
 problem at a real target runs the loop in float64 and registers its real
-tuples real.
+tuples real.  The dense oracle on the full tensor space lives in
+eigensel.oracle.
 """
 
 from __future__ import annotations
@@ -44,17 +43,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linsolve
 from .jdsolver import (
     _BLOCKED_TOL,
     _LEFT_RTOL,
-    OracleCapError,
     SearchSpace,
     _check_shared,
     _is_blocked,
-    _oracle_cap,
     _Pick,
     _selection_loop,
 )
@@ -70,11 +66,7 @@ __all__ = [
     "LinearMep3",
     "MepOptions",
     "MepTriplet",
-    "MepOraclePair",
     "delta_operators",
-    "dense_solve",
-    "dense_solve_2p",
-    "dense_solve_3p",
     "dd_sandwich",
     "jacobian_scale",
     "mep_criterion",
@@ -242,67 +234,6 @@ def delta_operators(mep):
     return deltas
 
 
-@dataclass
-class MepOraclePair:
-    """One tensor-space eigenvalue with factor vectors on both sides."""
-
-    values: tuple
-    z: np.ndarray
-    w: np.ndarray
-    xs: list
-    ys: list
-    decomposable: bool
-    res_right: float
-    res_left: float
-    ok: bool
-
-
-def _rank1_factors(z, dims):
-    """Best decomposable approximation of z plus a separability measure.
-
-    Returns (factors, ratio) where ratio is the largest second-to-first
-    singular value ratio over the mode unfoldings (0 for exactly rank one).
-    """
-    z = np.asarray(z)
-    N = len(dims)
-    if N == 2:
-        M = z.reshape(dims)
-        U, s, Vh = np.linalg.svd(M)
-        ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
-        x1 = U[:, 0]
-        x2 = Vh[0, :]
-        return [x1 / np.linalg.norm(x1), x2 / np.linalg.norm(x2)], ratio
-    T = z.reshape(dims)
-    factors = []
-    worst = 0.0
-    for mode in range(N):
-        unf = np.moveaxis(T, mode, 0).reshape(dims[mode], -1)
-        U, s, _ = np.linalg.svd(unf, full_matrices=False)
-        if s.size > 1 and s[0] > 0:
-            worst = max(worst, float(s[1] / s[0]))
-        f = U[:, 0]
-        factors.append(f / np.linalg.norm(f))
-    # fix relative phases so the factor tensor reproduces z up to a positive
-    # scalar: compare against the tensor entry of largest magnitude
-    flat = T.reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
-    sub = np.unravel_index(idx, dims)
-    prod = np.prod([factors[i][sub[i]] for i in range(N)])
-    if prod != 0:
-        phase = flat[idx] / prod
-        phase /= abs(phase)
-        factors[0] = factors[0] * phase
-    return factors, worst
-
-
-def _ls_value(D0z, Dz):
-    """Least-squares Rayleigh value of Delta_j z = val * Delta_0 z."""
-    denom = np.vdot(D0z, D0z)
-    if denom == 0:
-        return complex(np.nan)
-    return complex(np.vdot(D0z, Dz) / denom)
-
-
 def _weighted_sum(deltas, real=False):
     """sum_j c_j Delta_j for the parameter operators Delta_1, Delta_2, ...
 
@@ -326,8 +257,8 @@ def _fiber_factors(z, dims):
     For z = x_1 (x) x_2 [(x) x_3] every mode-i fiber of the tensor is a
     multiple of x_i.  The one through the largest-magnitude entry has norm
     at least ||z|| / sqrt(prod dims), so normalizing it keeps the error at
-    rounding level.  Unlike _rank1_factors there is no SVD, no
-    decomposability measure and no phase fix; the factors are unit vectors
+    rounding level.  Unlike a best rank-one approximation there is no SVD,
+    no decomposability measure and no phase fix; the factors are unit vectors
     of arbitrary relative phase.
     """
     T = z.reshape(dims)
@@ -376,7 +307,7 @@ def _projected_candidates(small, target):
     Solves Delta_0^{-1} sum_j c_j Delta_j z = theta z for right vectors only
     and reads every tuple at once as the least-squares Rayleigh values
     (Delta_0 Z)* (Delta_j Z) / ||Delta_0 Z||^2.  Complex Delta's take the
-    weights of dense_solve.  Real ones take real weights and a real
+    complex weights of _weighted_sum.  Real ones take real weights and a real
     eigensolve: a real theta gives a real z and a real tuple, and the
     tuples of a complex-conjugate pair of thetas are both kept.  The
     finiteness test and the Euclidean distances to target run on all
@@ -402,99 +333,6 @@ def _projected_candidates(small, target):
         z = Z[:, k].real if on_axis[k] else Z[:, k]
         out.append(_RitzCandidate(tuple(rows[k]), z, small.dims))
     return out
-
-
-def dense_solve(mep, cap=None, residual_rtol=1e-8):
-    """All eigenvalues of a linear MEP by the operator determinant route.
-
-    Builds the Delta matrices on the full tensor space, solves the pencil
-    (sum_j c_j Delta_j, Delta_0) with two-sided QZ for fixed generic complex
-    weights c_j, reads every parameter as a least-squares Rayleigh value,
-    and extracts factor vectors from best rank-one (tensor) approximations
-    of the right and left eigenvectors.  The weighted combination keeps
-    tuples separated even when they share single coordinates (a
-    cartesian-product spectrum makes any one Delta_j pencil degenerate, and
-    QZ would return arbitrary eigenspace mixtures).  Pairs are flagged
-    ok=False when a factor residual exceeds residual_rtol times the factor
-    scale or when an eigenvector is far from decomposable (second singular
-    value above 1e-6 of the first).
-
-    The tensor dimension must stay within the oracle cap (default 2000, see
-    EIGENSEL_ORACLE_CAP); OracleCapError otherwise.
-    """
-    dim = int(np.prod(mep.dims))
-    limit = _oracle_cap(cap)
-    if dim > limit:
-        raise OracleCapError(
-            f"tensor dimension {dim} exceeds the oracle cap {limit}"
-        )
-    deltas = delta_operators(mep)
-    D0 = deltas[0]
-    vals, VL, VR = sla.eig(_weighted_sum(deltas), D0, left=True, right=True,
-                           check_finite=False)
-    pairs = []
-    for idx in range(vals.shape[0]):
-        if not np.isfinite(vals[idx]):
-            continue
-        z = VR[:, idx]
-        w = VL[:, idx]
-        D0z = D0 @ z
-        values = tuple(_ls_value(D0z, deltas[j] @ z)
-                       for j in range(1, len(deltas)))
-        if any(not (math.isfinite(v.real) and math.isfinite(v.imag))
-               for v in values):
-            continue
-        xs, xr = _rank1_factors(z, mep.dims)
-        ys, yr = _rank1_factors(w, mep.dims)
-        rr = 0.0
-        rl = 0.0
-        for i in range(mep.nfactors):
-            Ti = to_dense(mep.t_eval(i, values))
-            scale = mep.tolerance_scale(i, values)
-            rr = max(rr, float(np.linalg.norm(Ti @ xs[i])) / scale)
-            rl = max(rl, float(np.linalg.norm(Ti.conj().T @ ys[i])) / scale)
-        deco = max(xr, yr) <= 1e-6
-        pairs.append(
-            MepOraclePair(values, z, w, xs, ys, deco, rr, rl,
-                          ok=(deco and rr <= residual_rtol
-                              and rl <= residual_rtol))
-        )
-    return pairs
-
-
-def _oracle_registry(mep, pairs):
-    triplets = []
-    for p in pairs:
-        if not p.ok:
-            continue
-        denom = dd_sandwich(mep, p.values, p.values, p.ys, p.xs)
-        triplets.append(
-            MepTriplet(p.values, list(p.xs), list(p.ys), denom,
-                       residual=max(p.res_right, p.res_left))
-        )
-    return triplets
-
-
-def dense_solve_2p(mep, cap=None, residual_rtol=1e-8):
-    """Two-parameter oracle as a ready-to-use registry of MepTriplet.
-
-    Runs dense_solve and keeps the pairs that pass its decomposability and
-    residual self-checks, attaching each one's coincident-sandwich
-    denominator.  Triplets with a numerically singular denominator are kept
-    (the criterion reports them as un-anchorable rather than hiding them).
-    """
-    if mep.nparams != 2:
-        raise ValueError(f"expected a 2-parameter problem, got {mep.nparams}")
-    return _oracle_registry(mep, dense_solve(mep, cap=cap,
-                                             residual_rtol=residual_rtol))
-
-
-def dense_solve_3p(mep, cap=None, residual_rtol=1e-8):
-    """Three-parameter analogue of dense_solve_2p."""
-    if mep.nparams != 3:
-        raise ValueError(f"expected a 3-parameter problem, got {mep.nparams}")
-    return _oracle_registry(mep, dense_solve(mep, cap=cap,
-                                             residual_rtol=residual_rtol))
 
 
 def dd_sandwich(mep, p_values, q_values, ys, xs):
@@ -653,9 +491,9 @@ def mep_subspace_solve(mep, options=None):
 
     One orthonormal search space per factor; each outer iteration projects
     the problem onto the factor bases, extracts the tensor Ritz tuples with a
-    one-sided standard eigensolve of the projected Delta pencil (dense_solve
-    stays the two-sided oracle), walks them in target order until the
-    sandwich criterion accepts one, and expands every factor space with a
+    one-sided standard eigensolve of the projected Delta pencil, walks them
+    in target order until the sandwich criterion accepts one, and expands
+    every factor space with a
     projected correction: (I - v v*) T_i(lam) (I - v v*) t = -r_i, t
     orthogonal to the unit factor vector v, which is jd_solve's correction
     solve (linsolve._correction_solve) with p = v.  The loop is jdsolver's selection loop; criteria

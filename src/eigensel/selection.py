@@ -47,6 +47,7 @@ __all__ = [
     "EigenTriplet",
     "CandidatePair",
     "DefectiveEigenvalueError",
+    "ErrorBoundError",
     "criterion_value",
     "candidate_criteria",
     "passes",
@@ -69,8 +70,12 @@ ERROR_BOUND_GUARD = 1e-2
 
 
 class DefectiveEigenvalueError(ValueError):
-    """Raised when a triplet fails the simplicity threshold or the error
-    bound guard at registration."""
+    """Raised when a triplet fails the simplicity threshold at
+    registration."""
+
+
+class ErrorBoundError(DefectiveEigenvalueError):
+    """Raised when a triplet fails the error bound guard at registration."""
 
 
 @dataclass
@@ -200,8 +205,9 @@ def register(problem, registry, theta, x, y, residual=math.nan,
     theta is a scalar, or a ProjectivePoint or math.inf (the point (1, 0))
     for the homogeneous form, whose triplet keeps hom.canonical(theta).
     Raises DefectiveEigenvalueError when |y* F'(lam) x| falls below
-    SIMPLICITY_RTOL * ||F'(lam)||_1 for unit x, y, or when the error bound
-    cond * residual exceeds ERROR_BOUND_GUARD: such a value is not
+    SIMPLICITY_RTOL * ||F'(lam)||_1 for unit x, y, and its subclass
+    ErrorBoundError when the error bound cond * residual exceeds
+    ERROR_BOUND_GUARD: such a value is not
     determined well enough to anchor the selection criterion.  Next to a
     defective eigenvalue, such as the infinite one of gen_gyroscopic, the
     denominator passes the first test while cond * residual does not: at
@@ -232,7 +238,7 @@ def register(problem, registry, theta, x, y, residual=math.nan,
     cond = (problem._condition(theta, abs(denom))
             if hasattr(problem, "_condition") else math.nan)
     if cond * residual > ERROR_BOUND_GUARD:
-        raise DefectiveEigenvalueError(
+        raise ErrorBoundError(
             f"error bound cond * residual = {cond:.3e} * {residual:.3e} "
             f"exceeds {ERROR_BOUND_GUARD:g}: eigenvalue is too ill "
             "determined to anchor the selection criterion"

@@ -13,7 +13,8 @@ import numpy as np
 
 from eigensel import homogeneous as hom
 from eigensel import mep as mepmod
-from eigensel.jdsolver import JDOptions, jd_solve, oracle_all_eigenpairs
+from eigensel.jdsolver import JDOptions, jd_solve
+from eigensel.oracle import dense_registry, oracle_all_eigenpairs
 from eigensel.problems import (
     PolyProblem,
     gen_example_2x2,
@@ -303,7 +304,7 @@ def test_criterion_10_mep_orthogonality_criterion():
     worst_self = 0.0
     for seed in range(5):
         m = mepmod.gen_random_mep((3, 3), seed=seed)
-        reg = mepmod.dense_solve_2p(m)
+        reg = dense_registry(m, 2)
         assert len(reg) == 9
         for i, ti in enumerate(reg):
             for j, tj in enumerate(reg):
@@ -327,7 +328,7 @@ def test_criterion_11_three_param_dichotomy():
     worst_self = math.inf
     for k, dims in enumerate(itertools.product((2, 3), repeat=3)):
         m = mepmod.gen_random_mep(dims, seed=100 + k)
-        reg = mepmod.dense_solve_3p(m)
+        reg = dense_registry(m, 3)
         assert len(reg) == dims[0] * dims[1] * dims[2]
         scale = mepmod.jacobian_scale(m)
         for i, ti in enumerate(reg):

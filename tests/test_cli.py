@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigensel import cli, jdsolver, mmio
+from eigensel import cli, jdsolver, linsolve, mmio
+from eigensel import oracle as oraclemod
 from eigensel.homogeneous import (
     ProjectivePoint,
     chordal_distance,
@@ -19,7 +20,14 @@ from eigensel.homogeneous import (
     scale_canonical,
 )
 from eigensel.jdsolver import JDOptions, jd_solve
-from eigensel.mep import LinearMep3, MepOptions
+from eigensel.mep import (
+    LinearMep2,
+    LinearMep3,
+    MepOptions,
+    gen_fourpoint_bvp,
+    gen_random_mep,
+    mep_subspace_solve,
+)
 from eigensel.problems import (
     PolyProblem,
     gen_example_2x2,
@@ -46,6 +54,22 @@ def solve_fixture(tmp_path):
     ])
     assert rc == 0
     return manifest, outdir
+
+
+def _mep_fixture(tmp_path, grid=8, pairs=2, tol="1e-9"):
+    """Generate the four-point problem, solve it as TestMepFlow does, and
+    return (manifest, outdir); tol None keeps the solve's default."""
+    d = tmp_path / "bvp"
+    assert cli.main(["generate", "fourpoint", "--grid", str(grid),
+                     "--out", str(d)]) == 0
+    outdir = tmp_path / "run"
+    rc = cli.main([
+        "solve", "--problem", str(d), "--out", str(outdir),
+        "--num-pairs", str(pairs), "--mindim", "4", "--maxdim", "7",
+        "--max-outer", "120", *(["--tol", tol] if tol else []),
+    ])
+    assert rc == 0
+    return str(d / "manifest.json"), outdir
 
 
 class TestGenerate:
@@ -243,15 +267,21 @@ class TestVerifyPep:
         return path
 
     def test_two_sided_oracle_not_needed(self, tmp_path, capsys, monkeypatch):
+        # neither problem class calls a dense oracle in verify
+        calls = []
+        for name in ("oracle_all_eigenpairs", "dense_solve"):
+            monkeypatch.setattr(oraclemod, name,
+                                lambda *args, name=name, **kwargs:
+                                calls.append(name))
         manifest, outdir = solve_fixture(tmp_path)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("verify must not compute eigenvectors")
-
-        monkeypatch.setattr(jdsolver, "oracle_all_eigenpairs", refuse)
         rc, out = self.verify(manifest, outdir / "results.json", capsys)
         assert rc == 0
         assert "verdict: PASS" in out
+        manifest, outdir = _mep_fixture(tmp_path / "mep")
+        rc, out = self.verify(manifest, outdir / "results.json", capsys)
+        assert rc == 0
+        assert "verdict: PASS" in out
+        assert calls == []
 
     def test_moved_value_fails(self, tmp_path, capsys):
         manifest, outdir = solve_fixture(tmp_path)
@@ -298,21 +328,6 @@ class TestVerifyPep:
         rc, out = self.verify(manifest, path, capsys)
         assert rc == 4
         assert "verdict: FAIL" in out
-
-    def test_cap_skip(self, tmp_path, capsys, monkeypatch):
-        d = tmp_path / "pep"
-        assert cli.main(["generate", "random_pep", "--n", "6",
-                         "--out", str(d)]) == 0
-        manifest = str(d / "manifest.json")
-        outdir = tmp_path / "run"
-        cli.main(["solve", "--problem", manifest, "--out", str(outdir),
-                  "--num-pairs", "1", "--mindim", "2", "--maxdim", "6"])
-        # the local check forms no spectrum, so the dense cap does not apply
-        monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "10")
-        rc, out = self.verify(manifest, outdir / "results.json", capsys)
-        assert rc == 0
-        assert "SKIPPED" not in out
-        assert "verdict: PASS" in out
 
     def test_value_between_two_eigenvalues_fails(self, tmp_path, capsys):
         manifest, outdir = solve_fixture(tmp_path)
@@ -374,7 +389,7 @@ class TestLocalEigenvalue:
         res = jd_solve(problem, opts)
         registry = res.registry
         assert len(registry) == 3
-        pairs = jdsolver.oracle_all_eigenpairs(problem)
+        pairs = oraclemod.oracle_all_eigenpairs(problem)
         if infinity == "registered":
             assert any(t.point.is_infinite for t in registry)
         elif infinity == "blocked":
@@ -409,7 +424,7 @@ class TestLocalEigenvalue:
         # canonicalizing that point again would move the last bits of
         # about half of all points
         problem = gen_random_pep(8, 2, seed=4)
-        pairs = jdsolver.oracle_all_eigenpairs(problem)[:6]
+        pairs = oraclemod.oracle_all_eigenpairs(problem)[:6]
         phase = complex(math.cos(1.1), math.sin(1.1))
         results = {"config": {"mode": "homogeneous", "tol": 1e-8},
                    "pairs": [{"value": mmio.to_json(o.value),
@@ -431,7 +446,7 @@ class TestLocalEigenvalue:
         # a shift 2% of the gap away: estimates must settle on the exact
         # eigenvalue, not just stay at the shift
         problem = gen_random_pep(8, 2, seed=4)
-        lams = [o.value for o in jdsolver.oracle_all_eigenpairs(problem)]
+        lams = [o.value for o in oraclemod.oracle_all_eigenpairs(problem)]
         for k, lam in enumerate(lams):
             gap = min(abs(lam - mu) for i, mu in enumerate(lams) if i != k)
             shift = lam + 0.02 * gap * complex(math.cos(k), math.sin(k))
@@ -444,7 +459,7 @@ class TestLocalEigenvalue:
         rng = np.random.default_rng(7)
         A0, A1 = (rng.standard_normal((8, 8)) for _ in range(2))
         problem = PolyProblem([A0, A1, np.diag([1.0] * 7 + [1e-10])])
-        oracle = [o.point for o in jdsolver.oracle_all_eigenpairs(problem)]
+        oracle = [o.point for o in oraclemod.oracle_all_eigenpairs(problem)]
         ref = from_scalar(math.inf)
         nearest = min(oracle, key=lambda q: chordal_distance(ref, q))
         assert 0.0 < chordal_distance(ref, nearest) < 1e-9
@@ -471,6 +486,82 @@ class TestLocalEigenvalue:
             local = cli._local_eigenvalue(problem, from_scalar(lam))
             nearest = 0.0 if lam < 5e-7 else 1e-6
             assert abs(local.to_scalar() - nearest) <= 1e-16
+
+
+class TestLocalTuple:
+    """verify's Newton check of a multiparameter tuple."""
+
+    def test_returns_from_a_perturbed_start(self, monkeypatch):
+        # (4 pi^2, 0, 0) solves the continuous problem; 10% off in every
+        # component, with noise 0.1 on the unit factor vectors
+        m = gen_fourpoint_bvp(8)
+        exact = (4 * math.pi ** 2, 0.0, 0.0)
+        ref = min(oraclemod.dense_solve(m),
+                  key=lambda p: cli._tuple_distance(p.values, exact))
+        rng = np.random.default_rng(1)
+        start = tuple(v + 0.1 * abs(exact[0]) * rng.uniform(-1, 1)
+                      for v in exact)
+        xs = [x + 0.1 * rng.standard_normal(x.shape) for x in ref.xs]
+        factored = []
+        direct = linsolve._direct_solver
+        monkeypatch.setattr(linsolve, "_direct_solver",
+                            lambda Z: factored.append(1) or direct(Z))
+        local = cli._local_tuple(m, start, xs)
+        assert local is not None
+        assert cli._tuple_distance(local, ref.values) <= 1e-10
+        assert len(factored) <= cli._LOCAL_SOLVES * m.nfactors
+
+    def test_singular_factor_returns_the_tuple(self):
+        # T_1(1, 1/2) and T_2(1, 1/2) have an exact zero on the diagonal
+        m = LinearMep2(np.diag([1.0, 3.0]), np.eye(2), np.diag([0.0, 1.0]),
+                       np.diag([2.0, 7.0]), np.eye(2), np.diag([2.0, 1.0]))
+        xs = [np.array([1.0, 0.3]), np.array([0.2, 1.0])]
+        assert cli._local_tuple(m, (1.0, 0.5), xs) == (1.0, 0.5)
+
+    def test_two_pairs_at_one_tuple_are_duplicates(self, tmp_path, capsys):
+        manifest, outdir = _mep_fixture(tmp_path)
+        path = outdir / "results.json"
+        results = json.loads(path.read_text())
+        results["pairs"][1] = results["pairs"][0]
+        path.write_text(json.dumps(results))
+        capsys.readouterr()
+        rc = cli.main(["verify", "--problem", manifest,
+                       "--results", str(path)])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_VERIFY
+        assert "DUPLICATES: oracle indices [0]" in out
+        assert "verdict: FAIL" in out
+
+    @pytest.mark.parametrize("case", ["grid8_two", "grid8_one", "grid10",
+                                      "random2", "random3"])
+    def test_matches_dense_oracle(self, tmp_path, case):
+        # the dense oracle stays the reference: each local tuple lies
+        # within 1e-10 of the oracle tuple nearest the returned one
+        if case.startswith("grid"):
+            grid, pairs, tol = {"grid8_two": (8, 2, "1e-9"),
+                                "grid8_one": (8, 1, None),
+                                "grid10": (10, 3, "1e-10")}[case]
+            manifest, outdir = _mep_fixture(tmp_path, grid, pairs, tol)
+            _, m = mmio.load_problem(manifest)
+            returned = mmio.read_json(str(outdir / "results.json"))["pairs"]
+        else:
+            dims, seed, maxdim = {"random2": ((8, 7), 26, 7),
+                                  "random3": ((5, 5, 5), 3, 5)}[case]
+            m = gen_random_mep(dims, seed=seed)
+            res = mep_subspace_solve(m, MepOptions(
+                target=(0.0,) * m.nparams, num_pairs=3, tol=1e-9,
+                mindim=maxdim - 3, maxdim=maxdim, max_outer=150, seed=1))
+            returned = mmio.to_json(res.registry)
+        assert len(returned) == {"grid8_one": 1, "grid8_two": 2}.get(case, 3)
+        tuples = [p.values for p in oraclemod.dense_solve(m)]
+        for d in returned:
+            values = tuple(mmio.from_json(v) for v in d["values"])
+            nearest = min(tuples, key=lambda o: sum(
+                abs(v - w) for v, w in zip(values, o))
+                / max(1.0, sum(abs(w) for w in o)))
+            local = cli._local_tuple(m, values,
+                                     [mmio.from_json(x) for x in d["xs"]])
+            assert cli._tuple_distance(local, nearest) <= 1e-10
 
 
 class TestMepFlow:
@@ -511,26 +602,18 @@ class TestMepFlow:
         assert "configuration:" in out
         assert "convergence log:" in out
 
-    def test_verify_cap_skip(self, tmp_path, capsys, monkeypatch):
-        d = tmp_path / "bvp"
-        assert cli.main(["generate", "fourpoint", "--grid", "8",
-                         "--out", str(d)]) == 0
-        manifest = str(d / "manifest.json")
-        outdir = tmp_path / "run"
-        rc = cli.main([
-            "solve", "--problem", manifest, "--out", str(outdir),
-            "--num-pairs", "1", "--mindim", "4", "--maxdim", "7",
-            "--max-outer", "120",
-        ])
-        assert rc == 0
+    def test_verify_past_the_dense_oracle(self, tmp_path, capsys):
+        # grid 14: a 2197-row tensor space, past the 2000 rows of the dense
+        # oracle, which verify used to skip
+        manifest, outdir = _mep_fixture(tmp_path, grid=14, pairs=1,
+                                        tol=None)
         config = json.loads((outdir / "results.json").read_text())["config"]
         assert set(config) == {f.name for f in dataclasses.fields(MepOptions)}
-        monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "10")
         capsys.readouterr()
         rc = cli.main(["verify", "--problem", manifest,
                        "--results", str(outdir / "results.json")])
         assert rc == 0
-        assert "SKIPPED" in capsys.readouterr().out
+        assert "verdict: PASS" in capsys.readouterr().out
 
 
 def _solve_table(capsys, argv):

@@ -25,7 +25,7 @@ from eigensel.homogeneous import (
     mediator_matrices,
     scale_canonical,
 )
-from eigensel.jdsolver import oracle_all_eigenpairs
+from eigensel.oracle import oracle_all_eigenpairs
 from eigensel.problems import gen_random_pep
 
 

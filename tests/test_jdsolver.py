@@ -20,19 +20,19 @@ from eigensel import jdsolver
 from eigensel import linsolve
 from eigensel.jdsolver import (
     JDOptions,
-    OracleCapError,
     Record,
     SolveResult,
     extract_candidates,
     jd_solve,
-    oracle_all_eigenpairs,
 )
+from eigensel.oracle import OracleCapError, oracle_all_eigenpairs
 from eigensel.problems import (
     PolyProblem,
     gen_gyroscopic,
     gen_random_pep,
     to_dense,
 )
+from eigensel.selection import DefectiveEigenvalueError, ErrorBoundError
 
 
 def diag_qep():
@@ -72,15 +72,11 @@ class TestOracle:
             # null vectors of the leading coefficient on both sides
             assert np.linalg.norm(to_dense(p.coeffs[2]) @ o.x) <= 1e-8
 
-    def test_cap_enforced_and_overridable(self, monkeypatch):
+    def test_cap_enforced_and_overridable(self):
         p = gen_random_pep(6, 2, seed=2)
         with pytest.raises(OracleCapError):
             oracle_all_eigenpairs(p, cap=5)
-        monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "5")
-        with pytest.raises(OracleCapError):
-            oracle_all_eigenpairs(p)
-        monkeypatch.setenv("EIGENSEL_ORACLE_CAP", "50")
-        assert len(oracle_all_eigenpairs(p)) == 12
+        assert len(oracle_all_eigenpairs(p, cap=12)) == 12
 
 
 class TestOptions:
@@ -278,6 +274,19 @@ class TestHomogeneousMode:
         for i, t in enumerate(res.registry):
             for u in res.registry[:i]:
                 assert hom.chordal_distance(t.point, u.point) > 1e-6
+
+    def test_readme_chain_at_tol_1e8_records_the_error_bound(self):
+        # the record of each refused infinity names the test that refused
+        # it, a subclass of the simplicity floor's error
+        p = gen_gyroscopic(200, seed=0)
+        res = jd_solve(p, JDOptions(target=80j, num_pairs=8, tol=1e-8,
+                                    mindim=10, maxdim=20, max_outer=800,
+                                    mode="homogeneous", seed=0))
+        refused = [r.event for r in res.records
+                   if r.event.startswith("rejected:") and r.value == math.inf]
+        assert refused
+        assert set(refused) == {"rejected: ErrorBoundError"}
+        assert issubclass(ErrorBoundError, DefectiveEigenvalueError)
 
     @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
     def test_start_vector(self, mode, monkeypatch):

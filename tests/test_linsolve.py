@@ -14,7 +14,8 @@ import scipy.sparse as sp
 
 from eigensel import homogeneous as hom
 from eigensel import linsolve
-from eigensel.jdsolver import JDOptions, jd_solve, oracle_all_eigenpairs
+from eigensel.jdsolver import JDOptions, jd_solve
+from eigensel.oracle import oracle_all_eigenpairs
 from eigensel.linsolve import (
     LuPreconditioner,
     NullVectorError,

@@ -23,9 +23,6 @@ from eigensel.mep import (
     criterion_threshold,
     dd_sandwich,
     delta_operators,
-    dense_solve,
-    dense_solve_2p,
-    dense_solve_3p,
     gen_fourpoint_bvp,
     gen_random_mep,
     mep_criterion,
@@ -35,6 +32,7 @@ from eigensel.mep import (
     tensor_rayleigh,
     to_dense_matvec,
 )
+from eigensel.oracle import _rank1_factors, dense_registry, dense_solve
 from eigensel.selection import SIMPLICITY_RTOL
 
 
@@ -127,7 +125,7 @@ class TestDenseSolve:
 
     def test_three_param_registry(self):
         m = gen_random_mep((2, 2, 2), seed=4)
-        reg = dense_solve_3p(m)
+        reg = dense_registry(m, 3)
         assert len(reg) == 8
         for t in reg:
             assert len(t.values) == 3
@@ -137,13 +135,13 @@ class TestDenseSolve:
         m2 = gen_random_mep((3, 3), seed=5)
         m3 = gen_random_mep((2, 2, 2), seed=6)
         with pytest.raises(ValueError):
-            dense_solve_2p(m3)
+            dense_registry(m3, 2)
         with pytest.raises(ValueError):
-            dense_solve_3p(m2)
+            dense_registry(m2, 3)
 
     def test_values_satisfy_factor_problems(self):
         m = gen_random_mep((3, 4), seed=7)
-        for t in dense_solve_2p(m)[:4]:
+        for t in dense_registry(m, 2)[:4]:
             for i in range(2):
                 r = to_dense_matvec(m, i, t.values, t.xs[i])
                 assert np.linalg.norm(r) <= 1e-8 * m.tolerance_scale(i, t.values)
@@ -170,7 +168,7 @@ class TestSandwichAndCriterion:
 
     def test_cross_annihilation_and_self_jacobian(self):
         m = gen_random_mep((3, 3), seed=18)
-        reg = dense_solve_2p(m)
+        reg = dense_registry(m, 2)
         scale = max(abs(t.denom) for t in reg)
         for i, ti in enumerate(reg):
             for j, tj in enumerate(reg):
@@ -183,7 +181,7 @@ class TestSandwichAndCriterion:
 
     def test_criterion_self_is_one_cross_is_small(self):
         m = gen_random_mep((3, 3), seed=19)
-        reg = dense_solve_2p(m)
+        reg = dense_registry(m, 2)
         for i, t in enumerate(reg):
             np.testing.assert_allclose(mep_criterion(m, [t], t.xs), 1.0,
                                        atol=1e-10)
@@ -193,7 +191,7 @@ class TestSandwichAndCriterion:
 
     def test_strict_variant_and_thresholds(self):
         m = gen_random_mep((3, 3), seed=20)
-        reg = dense_solve_2p(m)
+        reg = dense_registry(m, 2)
         t = reg[0]
         # strict folds the half-minimum into the value: self scores 2
         v = mep_criterion(m, [t], t.xs, variant="strict")
@@ -255,7 +253,7 @@ class TestSandwichAndCriterion:
         # the registry caches y_i* P_ij per factor through the helper that
         # caches y* A_k for one-parameter triplets
         m = gen_random_mep((3, 4), seed=21)
-        t = dense_solve_2p(m)[0]
+        t = dense_registry(m, 2)[0]
         mep_criterion(m, [t], t.xs)
         for i, rows in enumerate(t._rows):
             want = np.array([t.ys[i].conj() @ P for P in m.param_mats(i)])
@@ -263,7 +261,7 @@ class TestSandwichAndCriterion:
 
     def test_tensor_rayleigh_exact_on_eigenvectors(self):
         m = gen_random_mep((3, 4), seed=23)
-        for t in dense_solve_2p(m)[:4]:
+        for t in dense_registry(m, 2)[:4]:
             got = tensor_rayleigh(m, t.xs, t.ys)
             for g, w in zip(got, t.values):
                 assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
@@ -314,7 +312,7 @@ class TestSubspaceSolver:
                           maxdim=4, max_outer=80, seed=0)
         res = mep_subspace_solve(m, opts)
         assert len(res.registry) == 4
-        oracle = [t.values for t in dense_solve_2p(m)]
+        oracle = [t.values for t in dense_registry(m, 2)]
         seen = set()
         for t in res.registry:
             errs = [sum(abs(a - b) for a, b in zip(t.values, w))
@@ -330,7 +328,7 @@ class TestSubspaceSolver:
                           maxdim=7, max_outer=120, seed=1)
         res = mep_subspace_solve(m, opts)
         assert len(res.registry) == 4
-        oracle = [t.values for t in dense_solve_2p(m)]
+        oracle = [t.values for t in dense_registry(m, 2)]
         for t in res.registry:
             err = min(sum(abs(a - b) for a, b in zip(t.values, w))
                       for w in oracle)
@@ -610,7 +608,7 @@ class TestProjectedExtraction:
             z = z * (rng.standard_normal() if real else
                      rng.standard_normal() + 1j * rng.standard_normal())
             fibers = mepmod._fiber_factors(z, dims)
-            for f, g, n in zip(fibers, mepmod._rank1_factors(z, dims)[0],
+            for f, g, n in zip(fibers, _rank1_factors(z, dims)[0],
                                dims):
                 assert f.shape == (n,) and np.isrealobj(f) == real
                 assert abs(np.linalg.norm(f) - 1.0) <= 1e-14

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from eigensel import homogeneous as hom
 from eigensel import mmio
-from eigensel.jdsolver import JDOptions, oracle_all_eigenpairs
+from eigensel.jdsolver import JDOptions
+from eigensel.oracle import oracle_all_eigenpairs
 from eigensel.mep import MepOptions, gen_random_mep
 from eigensel.problems import PolyProblem, gen_example_2x2, gen_random_pep
 from eigensel.selection import (
