@@ -81,7 +81,8 @@ def build_parser():
     s.add_argument("--mindim", type=int, default=10)
     s.add_argument("--maxdim", type=int, default=20)
     s.add_argument("--max-outer", type=int, default=200)
-    s.add_argument("--inner-steps", type=int, default=10)
+    s.add_argument("--inner-steps", type=int, default=10,
+                   help="at most this many GMRES steps per correction")
     s.add_argument("--eta", type=float, default=0.1)
     s.add_argument("--mode", choices=["standard", "homogeneous"],
                    default="standard")

@@ -84,6 +84,11 @@ _BETA_CUT = 1e-12
 _BLOCKED_TOL = 1e-6
 _LEFT_RTOL = 1e-8
 
+# jd_solve's GMRES stops at a residual norm of this fraction of the outer
+# tolerance times the pick's residual scale: one decade below what the
+# convergence test asks of the expanded vector (linsolve._correction_solve).
+_INNER_TOL_RATIO = 0.1
+
 # Columns a SearchSpace holds before its first growth; doubling from here
 # fits jd_solve's default maxdim of 20 in one growth.
 _INITIAL_CAPACITY = 10
@@ -101,7 +106,10 @@ class JDOptions:
         homogeneous mode) and the selection criterion to pass.
     mindim, maxdim : search space bounds, 1 <= mindim < maxdim <= n.
     max_outer : outer iteration budget; exceeding it truncates the solve.
-    inner_steps : GMRES steps for the correction equation.
+    inner_steps : at most this many GMRES steps per correction equation.
+        jd_solve stops earlier once the correction's residual norm is
+        _INNER_TOL_RATIO * tol times the pick's residual scale;
+        mep_subspace_solve stops only at a relative residual of 1e-6.
     eta : selection threshold in (0, 1).
     mode : "standard" (scalar eigenvalues, harmonic extraction) or
         "homogeneous" (projective, infinite eigenvalues representable, Ritz
@@ -503,12 +511,18 @@ def _selection_loop(opts, spaces, ts, registry, blocked, randn, *,
     The hooks: extract() gives the candidates in target order and
     is_blocked(cand) drops a blocked one; criteria(cands) scores them,
     read by index, passing below opts.eta; no_pass(crits) is the pick when
-    none passes; pair(cand, crit, first) makes the pick a _Pick;
+    none passes; pair(cand, crit) makes the pick a _Pick;
     register(pick, outer) registers it and returns the value and residual
     to record; correct(pick) yields one correction per space; basis(cand)
     gives one coefficient vector per space; randn(n) draws a random
     vector.  Returns the SolveResult, with one Record per event; a
     projective value is recorded as its scalar.
+
+    A converged pick is registered (or blocked) and the loop picks again
+    among the other candidates, in the same iteration, until a pick has not
+    converged; only that one is corrected.  A pick is thus registered in the
+    iteration it converged in, and no correction goes to a vector that
+    already meets the tolerance.
     """
     records = []
 
@@ -546,9 +560,12 @@ def _selection_loop(opts, spaces, ts, registry, blocked, randn, *,
             continue
         crits = criteria(cands)
         chosen, sel_ok = select()
-        p = pair(cands[chosen], crits[chosen], True)
+        p = pair(cands[chosen], crits[chosen])
+        if not p.converged:
+            record(p.value, p.res, p.crit,
+                   "expanded" if sel_ok else "no-pass")
 
-        if p.converged:
+        while p.converged:
             if sel_ok:
                 try:
                     record(*register(p, outer), p.crit, "converged")
@@ -567,18 +584,18 @@ def _selection_loop(opts, spaces, ts, registry, blocked, randn, *,
                 blocked.append(p.value)
                 record(p.value, p.res, p.crit, "rejected: converged duplicate")
             # pick again among the other candidates against the updated
-            # registry (a just-registered value now fails by construction)
+            # registry (a just-registered value now fails by construction),
+            # until the pick has not converged
             cands = [c for j, c in enumerate(cands)
                      if j != chosen and not is_blocked(c)]
             if not cands:
-                ts = fresh_start()
-                continue
+                break
             crits = criteria(cands)
-            chosen = select()[0]
-            p = pair(cands[chosen], crits[chosen], False)
-        else:
-            record(p.value, p.res, p.crit,
-                   "expanded" if sel_ok else "no-pass")
+            chosen, sel_ok = select()
+            p = pair(cands[chosen], crits[chosen])
+        if p.converged:  # every candidate converged
+            ts = fresh_start()
+            continue
 
         # restarts drop dependent kept directions, so several spaces need
         # not keep equal dimensions; the largest one decides
@@ -631,14 +648,13 @@ def jd_solve(problem, options=None):
     def _rand(k):
         return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
-    def _pair(cand, crit, first):
-        """The pick at theta, which the first pick of an iteration snaps to
-        infinity once converged."""
+    def _pair(cand, crit):
+        """The pick at theta, snapped to infinity once converged."""
         theta, c = cand.theta, cand.v
         r, resnorm, scale = _residual(problem, space, theta, c)
         converged = resnorm <= opts.tol * scale
         rho = resnorm / scale
-        if first and converged:
+        if converged:
             theta, rho = _snap_infinite(problem, space, theta, c, rho,
                                         opts.tol)
         return _Pick(theta, rho, converged, float(crit), [_unit(space.V @ c)],
@@ -675,8 +691,10 @@ def jd_solve(problem, options=None):
         no_pass=lambda crits: int(np.argmin(crits)),
         pair=_pair,
         register=_register,
+        # the pick's own residual test sets the inner solve's absolute stop
         correct=lambda p: [linsolve.projected_correction_solve(
             problem, p.value, p.vecs[0], p.rs[0], steps=opts.inner_steps,
-            M=M)],
+            M=M, atol=_INNER_TOL_RATIO * opts.tol
+            * problem.tolerance_scale(p.value))],
         basis=lambda c: [c.v],
     )

@@ -164,11 +164,21 @@ def lu_preconditioner(problem, target):
     return LuPreconditioner(problem.eval(hom.canonical(target)))
 
 
-def gmres(A, b, tol=1e-8, maxiter=None, M=None):
+def gmres(A, b, tol=1e-8, maxiter=None, M=None, atol=0.0):
     """Right-preconditioned GMRES (single cycle, no restarts).
 
-    Solves A x = b to a relative residual tol, or stops after maxiter Arnoldi
-    steps.  M is applied as a right preconditioner: the Krylov space is built
+    Solves A x = b to a relative residual tol or a residual norm atol,
+    whichever it reaches first, after at least one Arnoldi step, or stops
+    after maxiter steps; atol = 0 leaves only the relative test.  atol
+    serves an inner solve whose outer test is absolute.  In the
+    Jacobi-Davidson correction equation, the residual of a correction t
+    equals, to first order in t, the eigenresidual of the expanded vector
+    u + t (_correction_solve), so steps taken after it falls below the
+    outer tolerance buy accuracy the outer iteration cannot use (Fokkema,
+    Sleijpen & van der Vorst, SISC 20, 1998; Hochstenbach & Notay, SIMAX
+    31, 2009).
+
+    M is applied as a right preconditioner: the Krylov space is built
     for A M^{-1} and the returned x is M^{-1} of the inner solution, so
     reported residuals are true residuals of the original system.
 
@@ -242,7 +252,7 @@ def gmres(A, b, tol=1e-8, maxiter=None, M=None):
         if hnext <= 1e-14 * max(1.0, beta):
             break  # happy breakdown: solution is exact in the Krylov space
         V[:, k + 1] = w / hnext
-        if relres <= tol:
+        if relres <= tol or abs(g) <= atol:
             break
     Hk, gk = H[: k_used + 1, :k_used], e1[: k_used + 1]
     y = np.linalg.lstsq(Hk, gk, rcond=None)[0]
@@ -283,24 +293,35 @@ def _theta_weights(problem, theta):
     return (theta, *problem.weights(theta), problem.tolerance_scale(theta))
 
 
-def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6):
+def projected_correction_solve(problem, theta, v, r, steps=10, M=None, tol=1e-6,
+                               atol=0.0):
     """Jacobi-Davidson correction equation at a Ritz pair (theta, v).
 
     Forms F(theta) and p = F'(theta) v and solves the projected equation by
-    _correction_solve, in complex arithmetic.  p is sum_i w[i] (A_i v) with
-    the derivative weights w of PolyProblem.weights, so F'(theta) is never
-    formed; at a ProjectivePoint they are those of DP.
+    _correction_solve, in complex arithmetic, to the relative tol or the
+    absolute atol.  p is sum_i w[i] (A_i v) with the derivative weights w
+    of PolyProblem.weights, so F'(theta) is never formed; at a
+    ProjectivePoint they are those of DP.
     """
     v = np.asarray(v, dtype=complex)
     r = np.asarray(r, dtype=complex)
     theta, _, dw, _ = _theta_weights(problem, theta)
     p = _weighted_matvec(problem.coeffs, dw, v)
-    return _correction_solve(problem.eval(theta), p, v, r, steps, M, tol)
+    return _correction_solve(problem.eval(theta), p, v, r, steps, M, tol, atol)
 
 
-def _correction_solve(F, p, v, r, steps, M, tol=1e-6):
+def _correction_solve(F, p, v, r, steps, M, tol=1e-6, atol=0.0):
     """Solve (I - p v*/(v* p)) F (I - v v*) t = -(I - p v*/(v* p)) r, t
     orthogonal to the unit vector v, by at most `steps` GMRES iterations.
+
+    GMRES stops early at a relative residual tol or an absolute residual
+    norm atol.  The residual it measures is (I - p v*/(v* p)) (r + F t)
+    for t orthogonal to v.  With r = F(theta) v that is F(theta) (v + t)
+    less its part along p = F'(theta) v, the part a first-order change of
+    theta absorbs, so to first order in t it is the eigenresidual of the
+    expanded vector v + t, which is at least as long as v.  An atol below
+    the outer tolerance times its scale therefore stops the solve once its
+    answer would pass the outer test.
 
     jd_solve's correction takes p = F'(theta) v; mep_subspace_solve's
     per-factor correction takes F = T_i(lam) and p = v, the orthogonal
@@ -337,7 +358,7 @@ def _correction_solve(F, p, v, r, steps, M, tol=1e-6):
                 w = psolve(z)
                 return w - q * (np.vdot(v, w) / vq)
 
-    t, _, _ = gmres(op, rhs, tol=tol, maxiter=steps, M=Mproj)
+    t, _, _ = gmres(op, rhs, tol=tol, maxiter=steps, M=Mproj, atol=atol)
     return _proj_v(t)
 
 

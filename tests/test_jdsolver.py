@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -250,7 +251,7 @@ class TestHomogeneousMode:
         # start LU(P(target))^-1 rho the infinite value converges first, at
         # kappa * residual ~ 0.4, and register refuses it as it would
         # 26101i: neither is determined well enough to anchor the
-        # criterion.  All 8 finite pairs come in 21 iterations.
+        # criterion.  All 8 finite pairs come in 20 iterations.
         p = gen_gyroscopic(200, seed=0)
         res = jd_solve(p, JDOptions(target=80j, num_pairs=8, tol=1e-4,
                                     mindim=10, maxdim=20, max_outer=100,
@@ -863,6 +864,42 @@ class TestSearchSpaceBuffers:
         for A, W, H in zip(mats, space.W, space.H):
             assert np.linalg.norm(W - A @ space.V) <= 1e-13 * np.linalg.norm(W)
             assert np.linalg.norm(H - space.V.T @ W) <= 1e-13 * np.linalg.norm(H)
+
+
+class TestConvergedPicks:
+    """Every converged pick of an iteration is registered (or blocked) in
+    it; only a pick that has not converged is corrected, and its GMRES
+    stops one decade below the outer tolerance."""
+
+    def test_gyroscopic_registers_in_the_iteration_of_convergence(
+            self, monkeypatch):
+        # at this seed two picks converge together at iterations 5 and 10
+        p = gen_gyroscopic(200, seed=3)
+        opts = JDOptions(target=80j, num_pairs=8, tol=1e-4, mindim=10,
+                         maxdim=20, max_outer=100, mode="homogeneous", seed=3)
+        corrected = []
+        real_solve = linsolve.projected_correction_solve
+
+        def spy(problem, theta, v, r, *args, **kwargs):
+            scale = problem.tolerance_scale(theta)
+            corrected.append((np.linalg.norm(problem.matvec(theta, v))
+                              / np.linalg.norm(v), scale, kwargs["atol"]))
+            return real_solve(problem, theta, v, r, *args, **kwargs)
+
+        monkeypatch.setattr(linsolve, "projected_correction_solve", spy)
+        res = jd_solve(p, opts)
+        assert not res.truncated and len(res.registry) == 8
+        per_iteration = Counter(r.iteration for r in res.records
+                                if r.event == "converged")
+        assert max(per_iteration.values()) >= 2
+        assert corrected
+        for resnorm, scale, atol in corrected:
+            assert resnorm > opts.tol * scale
+            assert atol == jdsolver._INNER_TOL_RATIO * opts.tol * scale
+        converged = [(r.iteration, r.value) for r in res.records
+                     if r.event == "converged"]
+        registered = [(t.found_iteration, t.value) for t in res.registry]
+        assert registered == converged
 
 
 class TestSnapInfinite:

@@ -459,6 +459,43 @@ class TestGmresRotations:
         assert its == 20
         assert calls == []
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("maxiter", [1, 12, 40])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    def test_zero_atol_bitwise_equal_to_per_step_lstsq(self, seed, maxiter,
+                                                       tol):
+        A, b = random_system(40, seed, cond_boost=-4.0)
+        x, relres, its = gmres(A, b, tol=tol, maxiter=maxiter, atol=0.0)
+        x_ref, relres_ref, its_ref = gmres_lstsq_reference(A, b, tol, maxiter)
+        assert its == its_ref
+        assert np.array_equal(x, x_ref)
+        assert relres == relres_ref
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("precondition", [False, True])
+    def test_atol_stops_at_the_first_step_below_it(self, seed, precondition):
+        # the residual norms of the k-step iterates, k = 1, 2, ...: an atol
+        # between those of steps 5 and 6 stops GMRES after step 6
+        A, b = random_system(40, seed, cond_boost=-4.0)
+        M = None
+        if precondition:
+            rng = np.random.default_rng(seed + 50)
+            M = LuPreconditioner(A + 2.0 * rng.standard_normal((40, 40)))
+        norms = [np.linalg.norm(b - A @ gmres(A, b, tol=0.0, maxiter=k,
+                                              M=M)[0])
+                 for k in range(1, 12)]
+        assert norms[5] < norms[4]
+        atol = math.sqrt(norms[4] * norms[5])
+        x, relres, its = gmres(A, b, tol=0.0, maxiter=40, M=M, atol=atol)
+        assert its == 6
+        assert np.linalg.norm(b - A @ x) <= atol
+        assert np.array_equal(x, gmres(A, b, tol=0.0, maxiter=6, M=M)[0])
+        # the relative test still stops it first when it is looser
+        assert norms[3] < norms[2]
+        tol = math.sqrt(norms[2] * norms[3]) / np.linalg.norm(b)
+        _, _, its = gmres(A, b, tol=tol, maxiter=40, M=M, atol=atol)
+        assert its == 4
+
     def test_full_space_residual_reaches_rounding_level(self):
         A, b = random_system(12, 3)
         x, relres, its = gmres(A, b, tol=0.0, maxiter=12)
@@ -578,6 +615,46 @@ class TestCorrectionSolve:
         assert got.dtype == (np.float64 if real else np.complex128)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert abs(np.vdot(v, got)) <= 1e-12 * np.linalg.norm(got)
+
+    @pytest.mark.parametrize("precondition", [False, True])
+    def test_atol_is_forwarded_to_gmres(self, monkeypatch, precondition):
+        T, v, r, P = self.system(25, 11, False)
+        M = LuPreconditioner(P) if precondition else None
+        seen = []
+        real_gmres = linsolve.gmres
+
+        def spy(*args, **kwargs):
+            out = real_gmres(*args, **kwargs)
+            seen.append((kwargs["atol"], out[2]))
+            return out
+
+        monkeypatch.setattr(linsolve, "gmres", spy)
+
+        def residual(t):
+            # of the projected equation, for t orthogonal to v
+            w = T @ t + r
+            return np.linalg.norm(w - v * np.vdot(v, w))
+
+        three, four = (linsolve._correction_solve(T, v, v, r, k, M, tol=0.0)
+                       for k in (3, 4))
+        assert residual(four) < residual(three)
+        atol = math.sqrt(residual(three) * residual(four))
+        early = linsolve._correction_solve(T, v, v, r, 8, M, tol=0.0,
+                                           atol=atol)
+        assert seen == [(0.0, 3), (0.0, 4), (atol, 4)]
+        assert np.array_equal(early, four)
+
+    def test_projected_correction_forwards_atol(self, monkeypatch):
+        p = gen_random_pep(12, 2, seed=3)
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        v /= np.linalg.norm(v)
+        seen = []
+        monkeypatch.setattr(linsolve, "_correction_solve",
+                            lambda *args: seen.append(args) or v)
+        projected_correction_solve(p, 0.3, v, p.matvec(0.3, v), steps=5,
+                                   atol=2.5e-3)
+        assert seen[0][-1] == 2.5e-3
 
     def test_preconditioner_projection_test_is_relative(self):
         # M^-1 maps v to w, orthogonal to v but for 1e-16 of it: |v* q| is
