@@ -189,14 +189,16 @@ def hom_D_weights(degree, p):
     return w
 
 
-def hom_dd_weights(degree, ps, qs):
+def hom_dd_weights(degree, ps, qs, weights=None):
     """Weights of the projective divided differences at all pairs (p, q).
 
     ps are canonical points (registered eigenvalues), qs arbitrary points.
     Returns w of shape (len(ps), len(qs), degree + 1) such that
     sum_i w[s, t, i] A_i is hom_divided_difference at (ps[s], qs[t]): q is
     aligned to p, and points at most SWITCH_TOL apart in chordal distance
-    get the weights of DP at p.
+    get the weights of DP at p.  weights, if given, is the pair of arrays
+    (hom_weights, hom_D_weights) at ps, one row per point, from a caller
+    that keeps them; otherwise they are formed here.
     """
     pa = np.array([p.alpha for p in ps])[:, None]
     pb = np.array([p.beta for p in ps])[:, None]
@@ -208,13 +210,17 @@ def hom_dd_weights(degree, ps, qs):
     coincident = np.abs(det) <= SWITCH_TOL
     i = np.arange(degree + 1)
     wq = qa[..., None] ** i * qb[..., None] ** (degree - i)
-    wp = np.array([hom_weights(degree, p) for p in ps])[:, None, :]
+    if weights is None:
+        weights = (np.array([hom_weights(degree, p) for p in ps]),
+                   np.array([hom_D_weights(degree, p) for p in ps]))
+    wp, wd = (x[:, None, :] for x in weights)
     w = (wp - wq) / np.where(coincident, 1.0, det)[..., None]
-    wd = np.array([hom_D_weights(degree, p) for p in ps])[:, None, :]
     return np.where(coincident[..., None], wd, w)
 
 
 def _weighted_sum(coeffs, w):
+    """sum_i w[i] coeffs[i], skipping zero weights.  PolyProblem.weighted_sum
+    runs it over the dense coefficients or the rows of the sparse table."""
     acc = None
     for wi, A in zip(w, coeffs):
         if wi == 0.0:
@@ -226,8 +232,9 @@ def _weighted_sum(coeffs, w):
 
 
 def hom_eval(problem, p):
-    """P(alpha, beta) = sum_i alpha^i beta^(m-i) A_i."""
-    return _weighted_sum(problem.coeffs, hom_weights(problem.degree, p))
+    """P(alpha, beta) = sum_i alpha^i beta^(m-i) A_i, by
+    PolyProblem.weighted_sum."""
+    return problem.weighted_sum(hom_weights(problem.degree, p))
 
 
 def hom_D(problem, p):
@@ -237,7 +244,7 @@ def hom_D(problem, p):
     P'(lam) x up to the factor (1 + |lam|^2)^((m-2)/2); at (1, 0) for a
     quadratic it is -B.
     """
-    return _weighted_sum(problem.coeffs, hom_D_weights(problem.degree, p))
+    return problem.weighted_sum(hom_D_weights(problem.degree, p))
 
 
 def hom_divided_difference(problem, p, q):
@@ -250,7 +257,7 @@ def hom_divided_difference(problem, p, q):
     criterion uses.
     """
     w = hom_dd_weights(problem.degree, [scale_canonical(p)], [q])
-    return _weighted_sum(problem.coeffs, w[0, 0])
+    return problem.weighted_sum(w[0, 0])
 
 
 def hom_tolerance_scale(problem, p):

@@ -31,8 +31,9 @@ order.
 That iteration is _selection_loop, which mep_subspace_solve runs too, with
 its own extraction, criterion, residuals, registration and correction.
 jd_solve scores all pairs of an iteration in one contraction
-(selection.candidate_criteria) with the registry's cached rows y* A_i
-times V; no candidate vector is formed to be judged.  The correction
+(selection.candidate_criteria) of G = R V, the registry's rows y* A_i
+projected on V, which the SearchSpace keeps up to date as V and the
+registry change; no candidate vector is formed to be judged.  The correction
 equation forms P(theta) once and never P'(theta), so the derivative matrix
 is only built when a triplet is registered.
 
@@ -89,8 +90,8 @@ _LEFT_RTOL = 1e-8
 # convergence test asks of the expanded vector (linsolve._correction_solve).
 _INNER_TOL_RATIO = 0.1
 
-# Columns a SearchSpace holds before its first growth; doubling from here
-# fits jd_solve's default maxdim of 20 in one growth.
+# Columns a SearchSpace holds before its first growth unless it is given a
+# capacity; jd_solve gives maxdim + 1, mep_subspace_solve takes this.
 _INITIAL_CAPACITY = 10
 
 
@@ -194,34 +195,46 @@ class SolveResult:
 
 
 class SearchSpace:
-    """Orthonormal basis V with cached products W_i = M_i V, H_i = V* W_i.
+    """Orthonormal basis V with cached products W_i = M_i V, H_i = V* W_i
+    and G = R V.
 
     mats is the list of operator matrices acting on this space (the PEP
     coefficients, or one factor's matrices of a multiparameter problem),
-    all n x n.
+    all n x n.  R stacks the rows of length n given to add_rows: jd_solve
+    adds the rows y* A_i of each registered triplet, so G holds the
+    projections y* A_i V that the selection criterion contracts
+    (selection.candidate_criteria), in registry order.  A space without
+    rows keeps G empty (0 x k).
 
-    V, every W_i and every H_i live in preallocated column-major buffers
-    whose capacity doubles when an append finds them full (capped at n).
-    The properties V, W and H are views of the first k columns (rows and
-    columns for H_i); a view is valid until the next append or restart,
-    which write into the same buffers.  An append writes one column of V
-    and of each W_i and one row and column of each H_i.
+    V, every W_i, every H_i and G live in preallocated column-major buffers
+    whose column capacity starts at capacity (capped at n) and doubles when
+    an append finds them full; R and G double their row capacity when
+    add_rows finds it full.  The properties V, W, H and G are views of the
+    first k columns (rows and columns for H_i, the first rows of R for G);
+    a view is valid until the next append, restart or add_rows, which write
+    into the same buffers.  An append writes one column of V, of each W_i
+    and of G (R v) and one row and column of each H_i; a restart
+    recomputes every W_i, H_i and G from the new V.
 
-    The buffers hold dtype (complex by default).  A float64 space is for
-    real matrices: a complex vector given to append or restart contributes
-    its real and imaginary parts, the span of the vector and its conjugate.
+    V, W_i and H_i hold dtype (complex by default); R and G are complex.  A
+    float64 space is for real matrices: a complex vector given to append or
+    restart contributes its real and imaginary parts, the span of the
+    vector and its conjugate.
     """
 
-    def __init__(self, mats, rng, dtype=complex):
+    def __init__(self, mats, rng, dtype=complex, capacity=_INITIAL_CAPACITY):
         self.mats = mats
         self.rng = rng
         self.k = 0
+        self.r = 0  # rows of R
         self.dtype = np.dtype(dtype)
         self.n = n = mats[0].shape[0]
-        cap = min(n, _INITIAL_CAPACITY)
+        cap = min(n, capacity)
         self._V = np.empty((n, cap), dtype=dtype, order="F")
         self._W = [np.empty((n, cap), dtype=dtype, order="F") for _ in mats]
         self._H = [np.empty((cap, cap), dtype=dtype, order="F") for _ in mats]
+        self._R = np.empty((0, n), dtype=complex)
+        self._G = np.empty((0, cap), dtype=complex, order="F")
 
     def _splits(self, t):
         """True when t must enter this real space as its Re and Im parts."""
@@ -239,23 +252,23 @@ class SearchSpace:
     def H(self):
         return [H[: self.k, : self.k] for H in self._H]
 
+    @property
+    def G(self):
+        return self._G[: self.r, : self.k]
+
     def _grow(self):
-        """Double the buffers' capacity (capped at n), keeping the k columns."""
+        """Double the column capacity (capped at n), keeping the k columns."""
         n, cap = self._V.shape
         cap = min(n, 2 * cap)
         cols, block = np.s_[:, : self.k], np.s_[: self.k, : self.k]
-
-        def moved(old, shape, used):
-            new = np.empty(shape, dtype=self.dtype, order="F")
-            new[used] = old[used]
-            return new
-
-        self._V = moved(self._V, (n, cap), cols)
-        self._W = [moved(W, (n, cap), cols) for W in self._W]
-        self._H = [moved(H, (cap, cap), block) for H in self._H]
+        self._V = _moved(self._V, (n, cap), cols)
+        self._W = [_moved(W, (n, cap), cols) for W in self._W]
+        self._H = [_moved(H, (cap, cap), block) for H in self._H]
+        self._G = _moved(self._G, (self._G.shape[0], cap),
+                         np.s_[: self.r, : self.k])
 
     def append(self, t, fill=True):
-        """Orthonormalize t against V (rgs) and extend V, W_i, H_i.
+        """Orthonormalize t against V (rgs) and extend V, W_i, H_i and G.
 
         No-op once V spans the whole space: the projected problem is then
         exact and no new direction exists.  With fill=False a t dependent
@@ -284,6 +297,8 @@ class SearchSpace:
                 H[:k, k] = (w.conj() @ V[:, :k]).conj()
                 H[k, :k] = v.conj() @ W[:, :k]
             H[k, k] = np.vdot(v, w)
+        if self.r:
+            self._G[: self.r, k] = self._R[: self.r] @ v
         self.k = k + 1
         return v
 
@@ -317,6 +332,27 @@ class SearchSpace:
         for A, W, H in zip(self.mats, self._W, self._H):
             W[:, :j] = A @ V
             H[:j, :j] = V.conj().T @ W[:, :j]
+        if self.r:
+            self._G[: self.r, :j] = self._R[: self.r] @ V
+
+    def add_rows(self, rows):
+        """Append rows (an array of shape (p, n)) to R, and rows @ V to G."""
+        r, p = self.r, rows.shape[0]
+        if r + p > self._R.shape[0]:
+            cap = max(2 * self._R.shape[0], r + p)
+            self._R = _moved(self._R, (cap, self.n), np.s_[:r], order="C")
+            self._G = _moved(self._G, (cap, self._G.shape[1]),
+                             np.s_[:r, : self.k])
+        self._R[r: r + p] = rows
+        self._G[r: r + p, : self.k] = rows @ self.V
+        self.r = r + p
+
+
+def _moved(old, shape, used, order="F"):
+    """A new buffer of old's dtype holding old's part used."""
+    new = np.empty(shape, dtype=old.dtype, order=order)
+    new[used] = old[used]
+    return new
 
 
 def rgs(V, t, rng, fill=True):
@@ -374,6 +410,36 @@ def _linearize(coeffs):
     return X, Y
 
 
+# LAPACK ggev, BLAS nrm2 and ggev's workspace size per (pencil size, dtype)
+_QZ_CACHE = {}
+
+
+def _qz(X, Y):
+    """(alphas, betas, Z) of the pencil (X, Y), which may be overwritten.
+
+    Bit for bit what sla.eig(X, Y, homogeneous_eigvals=True) returns: one
+    call of LAPACK ggev for the right eigenvectors, each scaled to unit
+    norm by the BLAS nrm2 scipy.linalg.norm uses.  The workspace size is
+    queried once per pencil size and dtype and kept in _QZ_CACHE, and the
+    norms skip scipy's finiteness check.
+    """
+    key = (X.shape[0], X.dtype)
+    if key not in _QZ_CACHE:
+        ggev, = sla.get_lapack_funcs(("ggev",), (X, Y))
+        nrm2 = sla.get_blas_funcs("nrm2", dtype=X.dtype, ilp64="preferred")
+        lwork = ggev(X, Y, lwork=-1)[-2][0].real.astype(np.int_)
+        _QZ_CACHE[key] = ggev, nrm2, lwork
+    ggev, nrm2, lwork = _QZ_CACHE[key]
+    alphas, betas, _, Z, _, info = ggev(X, Y, compute_vl=0, lwork=lwork,
+                                        overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"generalized eig algorithm (ggev) failed with info = {info}")
+    for j in range(Z.shape[1]):
+        Z[:, j] /= nrm2(Z[:, j])
+    return alphas, betas, Z
+
+
 def _harmonic_coeffs(space, target):
     """Q* W_i for Q = orth(P(target) V): the projected coefficients of
     harmonic Petrov-Galerkin extraction.
@@ -418,9 +484,7 @@ def extract_candidates(space, target, mode="standard"):
     else:
         target = complex(target)
         coeffs = _harmonic_coeffs(space, target)
-    X, Y = _linearize(coeffs)
-    (alphas, betas), Z = sla.eig(X, Y, homogeneous_eigvals=True,
-                                 check_finite=False)
+    alphas, betas, Z = _qz(*_linearize(coeffs))
     # strongest k-block of every companion eigenvector [c, theta c, ...]
     blocks = Z.T.reshape(Z.shape[1], -1, space.k)
     strongest = np.linalg.norm(blocks, axis=2).argmax(axis=1)
@@ -667,25 +731,28 @@ def jd_solve(problem, options=None):
         P(theta) is Hermitian or complex symmetric, it or its conjugate is
         the left vector and no LU of P(theta)* is made, unless the pair is
         too ill conditioned for that (left_eigenvector)."""
-        y = linsolve.left_eigenvector(
+        y, rows = linsolve.left_eigenvector(
             problem, p.value, p.vecs[0], rtol=max(_LEFT_RTOL, 10.0 * p.res),
             seed=opts.seed + 1000 + len(registry) + len(blocked),
         )
         register(problem, registry, p.value, p.vecs[0], y, residual=p.res,
                  iteration=outer)
+        # the criterion's rows y* A_i of the triplet, projected on V
+        space.add_rows(rows)
         return p.value, p.res
 
     t = _rand(n)
     if homo:
         t = M.solve(t)
-    space = SearchSpace(problem.coeffs, rng)
+    # restarts hold the space at maxdim columns, so it never grows
+    space = SearchSpace(problem.coeffs, rng, capacity=opts.maxdim + 1)
     target = hom.from_scalar(complex(opts.target)) if homo else complex(opts.target)
 
     return _selection_loop(
         opts, [space], [t], registry, blocked, _rand,
         extract=lambda: extract_candidates(space, target, opts.mode),
         is_blocked=lambda c: _is_blocked(c.theta, blocked, _BLOCKED_TOL),
-        criteria=lambda cands: candidate_criteria(problem, registry, space.V,
+        criteria=lambda cands: candidate_criteria(problem, registry, space.G,
                                                   cands),
         # the pair least like a registered one; it cannot be registered
         no_pass=lambda crits: int(np.argmin(crits)),

@@ -18,7 +18,8 @@ The consumers are
 * left eigenvectors of jd_solve's converged pairs (left_eigenvector):
   the right vector x or conj(x) where F(lam) is Hermitian or complex
   symmetric at lam and the pair well conditioned, with no factorization,
-  otherwise a null vector of F(lam)* from one LU;
+  otherwise a null vector of F(lam)* from one LU; either comes with the
+  rows y* A_i the selection criterion keeps of the triplet;
 * null vectors of (almost) singular matrices (null_vector), which also
   give mep_subspace_solve's per-factor left vectors, and the direct solves
   of verify's local eigenvalue check (_direct_solver);
@@ -418,8 +419,14 @@ def null_vector(Z, tol, seed=0):
     )
 
 
+def _left_rows(problem, y):
+    """The rows y* A_i, one per coefficient; no A_i* is formed."""
+    return np.array([y.conj() @ A for A in problem.coeffs])
+
+
 def _structured_left(problem, theta, x, rtol):
-    """The unit x or conj(x) if it is a left eigenvector at theta, else None.
+    """(y, rows y* A_i) for the unit x or conj(x) if it is a left
+    eigenvector at theta, else None.
 
     If F(theta) is Hermitian (the gyroscopic Q(i omega) = -omega^2 A +
     i omega B + C with real symmetric A, C and real skew B), the right
@@ -448,7 +455,7 @@ def _structured_left(problem, theta, x, rtol):
     theta, w, dw, scale = _theta_weights(problem, theta)
     x = x / np.linalg.norm(x)
     for y in (x, x.conj()):
-        R = np.array([y.conj() @ A for A in problem.coeffs])  # rows y* A_i
+        R = _left_rows(problem, y)
         # the norm of w @ R = (F(theta)* y)*
         res = np.linalg.norm(w @ R)
         if res > rtol * scale:
@@ -461,12 +468,13 @@ def _structured_left(problem, theta, x, rtol):
         except IllConditionedError:
             continue
         if res / scale * kappa <= ERROR_BOUND_GUARD:
-            return y
+            return y, R
     return None
 
 
 def left_eigenvector(problem, theta, x=None, rtol=1e-8, seed=0):
-    """Left eigenvector y with F(theta)* y ~ 0 for a converged eigenvalue.
+    """(y, rows): a left eigenvector y with F(theta)* y ~ 0 for a converged
+    eigenvalue, and the rows y* A_i, one per coefficient.
 
     theta may be a scalar, math.inf or a ProjectivePoint (for homogeneous
     solves).  The null vector tolerance is rtol times the residual scale
@@ -475,14 +483,19 @@ def left_eigenvector(problem, theta, x=None, rtol=1e-8, seed=0):
     unit x and then conj(x) are tried first and returned if they pass
     _structured_left's residual and conditioning tests.  Otherwise y is
     the null vector of F(theta)*, solved through one LU factorization.
+
+    The rows are what the selection criterion needs of a registered
+    triplet: those the test of x or conj(x) computed, or formed once from
+    the null vector, in either case without forming any A_i*.
     """
     if x is not None:
-        y = _structured_left(problem, theta, np.asarray(x, dtype=complex),
-                             rtol)
-        if y is not None:
-            return y
+        found = _structured_left(problem, theta, np.asarray(x, dtype=complex),
+                                 rtol)
+        if found is not None:
+            return found
     theta, _, _, scale = _theta_weights(problem, theta)
     Z = problem.eval(theta).conj().T
     if sp.issparse(Z):
         Z = Z.tocsr()
-    return null_vector(Z, tol=rtol * scale, seed=seed)
+    y = null_vector(Z, tol=rtol * scale, seed=seed)
+    return y, _left_rows(problem, y)

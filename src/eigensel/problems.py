@@ -15,8 +15,11 @@ its arguments and remains valid (it equals P'(lam)) when the arguments
 coincide.  General nonlinear problems are supported through callables; there
 the divided difference falls back to the quotient with a coincidence guard.
 
-Coefficients may be dense numpy arrays or scipy sparse matrices; all
-operations only rely on scalar multiplication, addition and matvec.
+Coefficients may be dense numpy arrays or scipy sparse matrices.  Sparse
+ones are evaluated on the union of their sparsity patterns, where every
+weighted sum of coefficients is arithmetic on arrays of stored values with
+one shared set of indices; otherwise the operations rely only on scalar
+multiplication, addition and matvec.
 """
 
 from __future__ import annotations
@@ -129,6 +132,8 @@ class PolyProblem:
     eval, derivative, weights, matvec, tolerance_scale and condition_number
     also take a homogeneous.ProjectivePoint, as given, and run the hom_*
     form there (DP in place of P'); a scalar infinity is the point (1, 0).
+    Every matrix they form from sparse coefficients is a CSR matrix on the
+    union pattern of the coefficients (_terms).
 
     Parameters
     ----------
@@ -157,6 +162,8 @@ class PolyProblem:
         self.degree = len(coeffs) - 1
         self._norms1 = None
         self._norms2 = None
+        self._dense = all(isinstance(A, np.ndarray) for A in coeffs)
+        self._pattern = self._table = None  # sparse: built by _terms
 
     @property
     def norms1(self):
@@ -172,39 +179,88 @@ class PolyProblem:
             self._norms2 = np.array([norm2_estimate(A) for A in self.coeffs])
         return self._norms2
 
+    def _terms(self):
+        """What evaluation combines: the dense coefficients, or the rows of
+        the sparse table.
+
+        Sparse coefficients are laid on the union of their sparsity
+        patterns, once per problem: row i of the (m+1) x nnz table holds
+        A_i's values there, zeros where A_i stores none.  The pattern is
+        the sum of the coefficients' patterns, and each A_i's entries are
+        placed in it by a searchsorted of their linear indices row * n +
+        col.  A dense coefficient among sparse ones enters as its CSR form.
+        Every weighted sum of coefficients is then arithmetic on arrays of
+        nnz values, which _matrix puts back on the pattern.
+        """
+        if self._dense:
+            return self.coeffs
+        if self._table is None:
+            n = self.n
+            mats = [sp.csr_array(A, copy=True) for A in self.coeffs]
+            for A in mats:
+                A.sum_duplicates()
+            ones = [sp.csr_array((np.ones(A.nnz), A.indices, A.indptr),
+                                 shape=A.shape) for A in mats]
+            pattern = sum(ones[1:], ones[0])
+            pattern.sort_indices()
+
+            def keys(A):
+                rows = np.repeat(np.arange(n, dtype=np.int64),
+                                 np.diff(A.indptr))
+                return rows * n + A.indices
+
+            at = keys(pattern)
+            D = np.zeros((len(mats), pattern.nnz),
+                         dtype=np.result_type(*(A.dtype for A in mats)))
+            for Di, A in zip(D, mats):
+                Di[np.searchsorted(at, keys(A))] = A.data
+            self._pattern, self._table = pattern, list(D)
+        return self._table
+
+    def _matrix(self, X):
+        """A combination of _terms as a matrix: X itself for dense
+        coefficients, else a CSR matrix of the values X on the union
+        pattern, sharing its index arrays (an entry the weights cancel
+        stays stored as a zero)."""
+        if self._dense:
+            return X
+        return sp.csr_array((X, self._pattern.indices, self._pattern.indptr),
+                            shape=self._pattern.shape, copy=False)
+
+    def weighted_sum(self, w):
+        """sum_i w[i] A_i, skipping zero weights (homogeneous._weighted_sum
+        over _terms)."""
+        return self._matrix(hom._weighted_sum(self._terms(), w))
+
     def eval(self, lam):
         """P(lam) by Horner's scheme.
 
-        Dense coefficients are accumulated in place in one new array (no
-        temporary per step, no write into a coefficient); sparse or mixed
-        ones use the plain expression lam * P + A.
+        It runs in place in one new array (no temporary per step, no write
+        into a coefficient), over the dense coefficients or the rows of the
+        sparse table (_terms).
         """
         lam = _at(lam)
         if isinstance(lam, hom.ProjectivePoint):
             return hom.hom_eval(self, lam)
-        coeffs = self.coeffs
-        if not all(isinstance(A, np.ndarray) for A in coeffs):
-            P = coeffs[-1]
-            for A in reversed(coeffs[:-1]):
-                P = lam * P + A
-            return P
-        P = np.multiply(coeffs[-1], lam, dtype=np.result_type(lam, *coeffs))
-        P += coeffs[-2]
-        for A in reversed(coeffs[:-2]):
+        terms = self._terms()
+        P = np.multiply(terms[-1], lam, dtype=np.result_type(lam, *terms))
+        P += terms[-2]
+        for A in reversed(terms[:-2]):
             P *= lam
             P += A
-        return P
+        return self._matrix(P)
 
     def derivative(self, lam):
-        """P'(lam) = sum_i i lam^(i-1) A_i by Horner's scheme."""
+        """P'(lam) = sum_i i lam^(i-1) A_i by Horner's scheme (over _terms)."""
         lam = _at(lam)
         if isinstance(lam, hom.ProjectivePoint):
             return hom.hom_D(self, lam)
+        terms = self._terms()
         m = self.degree
-        P = m * self.coeffs[m]
+        P = m * terms[m]
         for i in range(m - 1, 0, -1):
-            P = lam * P + i * self.coeffs[i]
-        return P
+            P = lam * P + i * terms[i]
+        return self._matrix(P)
 
     def divided_difference(self, lam, theta):
         """P[lam, theta] in the explicit polynomial form.

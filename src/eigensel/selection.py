@@ -29,7 +29,11 @@ registered triplet, stacked as R.  Candidates (theta_j, V c_j) over a basis
 V are scored from G = R V: with the divided-difference weights w_ijk of
 F[lam_i, theta_j] = sum_k w_ijk A_k, the value for pair (i, j) is
 |sum_k w_ijk (G c_j)_ik| / (|denom_i| ||V c_j||), one contraction for all
-registry entries and candidates.
+registry entries and candidates.  The caller keeps G (jd_solve's search
+space updates it as V and the registry change), so scoring never touches a
+vector of length n; the weights of P and DP at a registered point, the
+registry side of the homogeneous divided difference, are kept on the
+triplet.
 """
 
 from __future__ import annotations
@@ -123,10 +127,22 @@ def _adjoint_rows(triplet, factors):
     return rows
 
 
+def _point_weights(triplet, degree):
+    """(weights of P, weights of DP) at the triplet's point, as
+    hom_weights and hom_D_weights give them; cached on the triplet at the
+    first call, like _adjoint_rows."""
+    weights = getattr(triplet, "_weights", None)
+    if weights is None:
+        weights = triplet._weights = (
+            hom.hom_weights(degree, triplet.point),
+            hom.hom_D_weights(degree, triplet.point))
+    return weights
+
+
 def _poly_criteria(problem, registry, G, C, thetas):
     """Criterion of the candidates (thetas[j], V C[:, j]) from G = R V.
 
-    R stacks the adjoint rows of the registry, so G holds y_i* A_k V in row
+    R stacks the rows y_i* A_k of the registry, so G holds y_i* A_k V in row
     i (m+1) + k.  V is orthonormal (||V c|| = ||c||).  ProjectivePoint
     thetas are scored in homogeneous form.  Returns the maximum over the
     registry per candidate.
@@ -135,7 +151,9 @@ def _poly_criteria(problem, registry, G, C, thetas):
     GC = (G @ C).reshape(len(registry), m + 1, C.shape[1])
     # w[i, j, k]: weight of A_k in F[lam_i, theta_j]
     if isinstance(thetas[0], hom.ProjectivePoint):
-        w = hom.hom_dd_weights(m, [t.point for t in registry], thetas)
+        wp, wd = zip(*(_point_weights(t, m) for t in registry))
+        w = hom.hom_dd_weights(m, [t.point for t in registry], thetas,
+                               (np.array(wp), np.array(wd)))
     else:
         lam = np.array([complex(t.value) for t in registry])
         theta = np.array([complex(th) for th in thetas])
@@ -146,11 +164,6 @@ def _poly_criteria(problem, registry, G, C, thetas):
     return vals.max(axis=0)
 
 
-def _stacked_rows(problem, registry):
-    return np.vstack([_adjoint_rows(t, [(t.left, problem.coeffs)])[0]
-                      for t in registry])
-
-
 def criterion_value(problem, registry, cand):
     """max_i |y_i* F[lam_i, theta] v| / |denom_i| over the registry.
 
@@ -158,8 +171,8 @@ def criterion_value(problem, registry, cand):
     defensively.  A ProjectivePoint theta takes the projective divided
     difference, with the registered point first and the candidate aligned
     to it.  For polynomials this is candidate_criteria's contraction for
-    the basis V = [v]: it runs over the cached rows y* A_k, no
-    divided-difference matrix is assembled.
+    the basis V = [v]: it runs over the rows y* A_k, cached on each triplet
+    by _adjoint_rows; no divided-difference matrix is assembled.
     """
     if not registry:
         return 0.0
@@ -172,23 +185,26 @@ def criterion_value(problem, registry, cand):
                 t.value, complex(cand.theta)) @ v)) / abs(t.denom)
             for t in registry
         )
-    G = _stacked_rows(problem, registry) @ v[:, None]
-    return float(_poly_criteria(problem, registry, G, np.ones((1, 1)),
-                                [cand.theta])[0])
+    G = np.concatenate([_adjoint_rows(t, [(t.left, problem.coeffs)])[0] @ v
+                        for t in registry])
+    return float(_poly_criteria(problem, registry, G[:, None],
+                                np.ones((1, 1)), [cand.theta])[0])
 
 
-def candidate_criteria(problem, registry, V, cands):
+def candidate_criteria(problem, registry, G, cands):
     """criterion_value of every candidate (theta, V c) of a polynomial.
 
     V has orthonormal columns and cands are CandidatePair(theta, c) with c
-    the coefficients of the candidate vector in V.  All candidates are
-    scored in one contraction with G = R V (R the stacked cached rows of
-    the registry), so no candidate vector V c is formed.  Returns an array
-    with one value per candidate, zeros for an empty registry.
+    the coefficients of the candidate vector in V.  G = R V is V projected
+    by the registry's rows: rows i (m+1) to i (m+1) + m hold y_i* A_k V,
+    k = 0..m, of registry[i].  jdsolver.SearchSpace keeps G as V grows and
+    restarts and as triplets register, so a call forms neither R V nor a
+    candidate vector V c: all candidates are scored in one contraction of
+    G.  Returns an array with one value per candidate, zeros for an empty
+    registry.
     """
     if not registry:
         return np.zeros(len(cands))
-    G = _stacked_rows(problem, registry) @ V
     C = np.column_stack([c.v for c in cands])
     return _poly_criteria(problem, registry, G, C, [c.theta for c in cands])
 

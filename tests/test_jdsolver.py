@@ -19,6 +19,7 @@ import scipy.linalg as sla
 from eigensel import homogeneous as hom
 from eigensel import jdsolver
 from eigensel import linsolve
+from eigensel import selection
 from eigensel.jdsolver import (
     JDOptions,
     Record,
@@ -986,3 +987,225 @@ class TestIsBlocked:
         assert not jdsolver._is_blocked((30.0 + 4e-5, 40.0 + 4e-5), [large],
                                         tol)
         assert not jdsolver._is_blocked(small, [], tol)
+
+
+def _fresh_rows(problem, registry):
+    """The rows y* A_k of every registered triplet, stacked in registry
+    order, formed anew from the left vectors."""
+    return np.array([t.left.conj() @ A for t in registry
+                     for A in problem.coeffs]).reshape(-1, problem.n)
+
+
+class TestKeptProjection:
+    """The search space keeps G = R V, the registry's rows projected on V,
+    through appends, growth, restarts and registrations, and jd_solve's
+    criterion contracts it instead of forming R V per call."""
+
+    @staticmethod
+    def assert_kept(space, R):
+        G = space.G
+        assert G.shape == (R.shape[0], space.k)
+        assert (np.linalg.norm(G - R @ space.V)
+                <= 1e-13 * max(1.0, np.linalg.norm(G)))
+
+    def test_appends_growth_restarts_and_rows(self):
+        p = gen_random_pep(40, 2, seed=6)
+        rng = np.random.default_rng(4)
+        space = jdsolver.SearchSpace(p.coeffs, rng)
+
+        def rand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        R = rand(3, 40)
+        space.add_rows(R)  # rows before any column: G is 3 x 0
+        self.assert_kept(space, R)
+        for _ in range(3 * jdsolver._INITIAL_CAPACITY):  # grows twice
+            space.append(rand(40))
+            self.assert_kept(space, R)
+        for _ in range(4):  # the row capacity grows too
+            rows = rand(3, 40)
+            space.add_rows(rows)
+            R = np.vstack([R, rows])
+            self.assert_kept(space, R)
+        space.restart([rand(space.k) for _ in range(5)])
+        assert space.k == 5
+        self.assert_kept(space, R)
+        for _ in range(8):
+            space.append(rand(40))
+        rows = rand(3, 40)
+        space.add_rows(rows)
+        self.assert_kept(space, np.vstack([R, rows]))
+
+    def test_a_space_without_rows_keeps_g_empty(self):
+        rng = np.random.default_rng(0)
+        mats = [rng.standard_normal((12, 12)) for _ in range(3)]
+        space = jdsolver.SearchSpace(mats, rng, dtype=float)
+        for _ in range(4):
+            space.append(rng.standard_normal(12))
+        space.restart([rng.standard_normal(4) for _ in range(2)])
+        assert space.G.shape == (0, space.k)
+
+    @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
+    def test_jd_solve_contracts_the_kept_projection(self, monkeypatch, mode):
+        if mode == "homogeneous":
+            # two picks converge in one iteration, and the space restarts
+            # after the first registration, at this seed
+            p = gen_gyroscopic(200, seed=1)
+            opts = JDOptions(target=80j, num_pairs=8, tol=1e-4, mindim=10,
+                             maxdim=20, max_outer=100, mode=mode, seed=1)
+        else:
+            p = gen_random_pep(40, 2, seed=0)
+            opts = JDOptions(target=0.3, num_pairs=8, tol=1e-9, mindim=6,
+                             maxdim=12, seed=0)
+        spaces, calls = [], Counter()
+
+        class Space(jdsolver.SearchSpace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spaces.append(self)
+
+            def restart(self, *args, **kwargs):
+                calls["restart"] += self.r > 0
+                return super().restart(*args, **kwargs)
+
+            def add_rows(self, rows):
+                calls["add_rows"] += 1
+                return super().add_rows(rows)
+
+        def candidate_criteria(problem, registry, G, cands):
+            calls["criteria"] += 1
+            got = real_criteria(problem, registry, G, cands)
+            if registry:
+                space, = spaces
+                # a view of the kept buffer, equal to R V formed anew
+                assert np.shares_memory(G, space._G)
+                R = _fresh_rows(problem, registry)
+                self.assert_kept(space, R)
+                # the scores of the former contraction of R V
+                C = np.column_stack([c.v for c in cands])
+                want = selection._poly_criteria(
+                    problem, registry, R @ space.V, C,
+                    [c.theta for c in cands])
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+                calls["checked"] += 1
+            return got
+
+        real_criteria = jdsolver.candidate_criteria
+        monkeypatch.setattr(jdsolver, "SearchSpace", Space)
+        monkeypatch.setattr(jdsolver, "candidate_criteria", candidate_criteria)
+        res = jd_solve(p, opts)
+        assert not res.truncated and len(res.registry) == 8
+        converged = Counter(r.iteration for r in res.records
+                            if r.event == "converged")
+        if mode == "homogeneous":
+            assert max(converged.values()) >= 2
+        assert calls["add_rows"] == len(res.registry)
+        assert calls["restart"] > 0
+        # R V is formed only at registrations and restarts, far less often
+        # than the criterion is evaluated
+        assert calls["checked"] > 2 * (calls["add_rows"] + calls["restart"])
+
+    def test_jd_solve_space_holds_maxdim_without_growing(self, monkeypatch):
+        def grow(self):
+            raise AssertionError("search space grew")
+
+        spaces = []
+        real_init = jdsolver.SearchSpace.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            spaces.append(self)
+
+        monkeypatch.setattr(jdsolver.SearchSpace, "_grow", grow)
+        monkeypatch.setattr(jdsolver.SearchSpace, "__init__", init)
+        opts = JDOptions(target=80j, num_pairs=8, tol=1e-4, mindim=10,
+                         maxdim=20, max_outer=100, mode="homogeneous", seed=1)
+        res = jd_solve(gen_gyroscopic(200, seed=1), opts)
+        assert len(res.registry) == 8
+        assert any(r.event == "restarted" for r in res.records)
+        space, = spaces
+        assert space._V.shape == (200, opts.maxdim + 1)
+
+
+class TestRowsFormedOnce:
+    """Each registered triplet's rows y* A_i are formed once: by the test
+    of x or conj(x) where that passes, else from the null vector, and never
+    through A_i*."""
+
+    @pytest.mark.parametrize("mode", ["standard", "homogeneous"])
+    def test_one_product_per_registered_triplet(self, monkeypatch, mode):
+        if mode == "homogeneous":  # Hermitian at i omega: x is the left one
+            p = gen_gyroscopic(200, seed=3)
+            opts = JDOptions(target=80j, num_pairs=8, tol=1e-4, mindim=10,
+                             maxdim=20, max_outer=100, mode=mode, seed=3)
+        else:  # not symmetric: every left vector takes the LU
+            p = gen_random_pep(30, 2, seed=1)
+            opts = JDOptions(target=0.0, num_pairs=4, tol=1e-9, mindim=6,
+                             maxdim=12, max_outer=150, seed=1)
+        formed = []
+
+        def left_rows(problem, y):
+            formed.append(y)
+            return real_rows(problem, y)
+
+        def adjoint_rows(*args):
+            raise AssertionError("rows formed through A*")
+
+        real_rows = linsolve._left_rows
+        monkeypatch.setattr(linsolve, "_left_rows", left_rows)
+        monkeypatch.setattr(selection, "_adjoint_rows", adjoint_rows)
+        res = jd_solve(p, opts)
+        assert len(res.registry) == opts.num_pairs
+        for t in res.registry:
+            assert sum(np.allclose(y, t.left, rtol=0, atol=1e-14)
+                       for y in formed) == 1
+
+
+class TestDirectQz:
+    """extract_candidates' QZ (LAPACK ggev called directly) returns what
+    sla.eig(X, Y, homogeneous_eigvals=True) returns, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(X, Y):
+        (a, b), Z = sla.eig(X.copy(), Y.copy(), homogeneous_eigvals=True)
+        alphas, betas, Z2 = jdsolver._qz(X.copy(), Y.copy())
+        assert np.array_equal(alphas, a)
+        assert np.array_equal(betas, b)
+        assert np.array_equal(Z2, Z)
+        return alphas, betas
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_bitwise_equal_to_eig(self, k):
+        self.assert_bitwise(*jdsolver._linearize(projected_space(k, k).H))
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_singular_and_degenerate_pencils(self, k):
+        # H_2 with a zero first row and column: Y singular, an infinite
+        # value; a zero last row and column in all three: alpha = beta = 0
+        X, Y = jdsolver._linearize(projected_space(k, 7, degenerate=True).H)
+        assert np.linalg.matrix_rank(Y) < Y.shape[0]
+        alphas, betas = self.assert_bitwise(X, Y)
+        scale = np.hypot(abs(alphas), abs(betas)).max()
+        assert np.abs(betas).min() <= 1e-12 * scale
+        assert np.hypot(abs(alphas), abs(betas)).min() <= 1e-12 * scale
+
+    def test_one_workspace_query_per_size(self, monkeypatch):
+        queries = []
+        real_get = sla.get_lapack_funcs
+
+        def get_lapack_funcs(names, arrays):
+            real_ggev, = real_get(names, arrays)
+
+            def ggev(X, Y, *args, **kwargs):
+                if kwargs.get("lwork") == -1:
+                    queries.append(X.shape[0])
+                return real_ggev(X, Y, *args, **kwargs)
+
+            return (ggev,)
+
+        monkeypatch.setattr(jdsolver, "_QZ_CACHE", {})
+        monkeypatch.setattr(sla, "get_lapack_funcs", get_lapack_funcs)
+        for k in [2, 3, 2, 5, 3, 2, 5]:
+            self.assert_bitwise(
+                *jdsolver._linearize(projected_space(k, 10 + k).H))
+        assert queries == [4, 6, 10]

@@ -253,14 +253,14 @@ class TestLeftEigenvector:
         # math.inf is the point (1, 0), where F is A_1 and e_1 its null vector
         p = PolyProblem([np.eye(3), np.diag([0.0, 1.0, 2.0])])
         e1 = np.eye(3)[0]
-        np.testing.assert_array_equal(left_eigenvector(p, theta, e1), e1)
+        np.testing.assert_array_equal(left_eigenvector(p, theta, e1)[0], e1)
 
     def test_residual_meets_tolerance(self):
         p = gen_random_pep(12, 2, seed=0)
         oracle = [o for o in oracle_all_eigenpairs(p)
                   if o.ok and np.isfinite(o.value)]
         lam = min(oracle, key=lambda o: abs(o.value)).value
-        y = left_eigenvector(p, lam, rtol=1e-9, seed=0)
+        y, _ = left_eigenvector(p, lam, rtol=1e-9, seed=0)
         scale = p.tolerance_scale(abs(lam))
         assert np.linalg.norm(p.eval(lam).conj().T @ y) <= 1e-9 * scale
 
@@ -269,7 +269,7 @@ class TestLeftEigenvector:
         o = min((o for o in oracle_all_eigenpairs(p)
                  if o.ok and np.isfinite(o.value)),
                 key=lambda o: abs(o.value))
-        y = left_eigenvector(p, o.value, rtol=1e-9, seed=1)
+        y, _ = left_eigenvector(p, o.value, rtol=1e-9, seed=1)
         assert abs(np.vdot(o.y, y)) > 1.0 - 1e-6
 
     @pytest.fixture(scope="class")
@@ -289,7 +289,7 @@ class TestLeftEigenvector:
         theta = t.point if projective else t.value
         x = 3.0 * t.right
         calls = _lu_spy(monkeypatch)
-        y = left_eigenvector(p, theta, x, rtol=1e-7, seed=0)
+        y, _ = left_eigenvector(p, theta, x, rtol=1e-7, seed=0)
         assert calls == []
         np.testing.assert_array_equal(y, x / np.linalg.norm(x))
         assert _left_residual_ok(p, theta, y, 1e-7)
@@ -301,7 +301,7 @@ class TestLeftEigenvector:
                  if o.ok and np.isfinite(o.value)),
                 key=lambda o: abs(o.value))
         calls = _lu_spy(monkeypatch)
-        y = left_eigenvector(p, o.value, o.x, rtol=1e-8, seed=0)
+        y, _ = left_eigenvector(p, o.value, o.x, rtol=1e-8, seed=0)
         assert calls == []
         np.testing.assert_array_equal(y, np.conj(o.x) / np.linalg.norm(o.x))
         assert _left_residual_ok(p, o.value, y, 1e-8)
@@ -312,11 +312,26 @@ class TestLeftEigenvector:
                  if o.ok and np.isfinite(o.value)),
                 key=lambda o: abs(o.value))
         calls = _lu_spy(monkeypatch)
-        y = left_eigenvector(p, o.value, o.x, rtol=1e-8, seed=4)
+        y, _ = left_eigenvector(p, o.value, o.x, rtol=1e-8, seed=4)
         assert len(calls) == 1
         np.testing.assert_array_equal(
-            y, left_eigenvector(p, o.value, rtol=1e-8, seed=4))
+            y, left_eigenvector(p, o.value, rtol=1e-8, seed=4)[0])
         assert _left_residual_ok(p, o.value, y, 1e-8)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_rows_are_those_of_y(self, symmetric):
+        # conj(x) passes for a complex symmetric problem; the other takes
+        # the null vector of the LU
+        p = gen_random_pep(20, 2, seed=3, symmetric=symmetric)
+        o = min((o for o in oracle_all_eigenpairs(p)
+                 if o.ok and np.isfinite(o.value)),
+                key=lambda o: abs(o.value))
+        y, rows = left_eigenvector(p, o.value, o.x, rtol=1e-8, seed=0)
+        structured = np.array_equal(y, np.conj(o.x) / np.linalg.norm(o.x))
+        assert structured == symmetric
+        assert rows.shape == (3, 20)
+        np.testing.assert_allclose(
+            rows, [y.conj() @ A for A in p.coeffs], rtol=0, atol=1e-14)
 
     def test_ill_conditioned_hermitian_pair_takes_the_lu(self, monkeypatch):
         # A - lam B with A, B real symmetric and B indefinite: two real
@@ -341,10 +356,10 @@ class TestLeftEigenvector:
         calls = _lu_spy(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = left_eigenvector(p, lam, x, rtol=1e-3, seed=0)
+            y, _ = left_eigenvector(p, lam, x, rtol=1e-3, seed=0)
         assert len(calls) == 1
         np.testing.assert_array_equal(
-            y, left_eigenvector(p, lam, rtol=1e-3, seed=0))
+            y, left_eigenvector(p, lam, rtol=1e-3, seed=0)[0])
         assert _left_residual_ok(p, lam, y, 1e-3)
 
 

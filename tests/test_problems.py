@@ -110,6 +110,87 @@ class TestInPlaceHorner:
             assert (A != B).nnz == 0
 
 
+def _with_explicit_zeros(n, seed):
+    """A sparse quadratic whose coefficients store explicit zeros (a[0] = 0
+    kept in A's pattern, a zero on B's diagonal) and, in C, unsorted
+    column indices with a duplicate entry; B is dense."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, n)
+    a[0] = 0.0
+    i = np.arange(n)
+    A = sp.csr_array((a, (i, i)), shape=(n, n))
+    B = np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
+    # row 0 holds columns 2, 0 and 2 again (the duplicate sums to 3.0)
+    data = np.concatenate([[1.0, -0.5, 2.0], -rng.uniform(0.5, 1.0, n - 1)])
+    indices = np.concatenate([[2, 0, 2], np.arange(1, n)])
+    indptr = np.concatenate([[0], np.arange(3, n + 3)])
+    C = sp.csr_array((data, indices, indptr), shape=(n, n))
+    assert A.nnz == n and not C.has_canonical_format
+    return PolyProblem([C, B, A])
+
+
+class TestSparseTable:
+    """Sparse evaluation runs on a table of the coefficients' values laid
+    on their union pattern, built once per problem, and equals the former
+    scale-and-add of scipy sparse matrices."""
+
+    THETAS = [80j, 0.3 - 2.0j, 0.0, -2.5, 1e3j]
+    POINTS = [hom.from_scalar(80j), hom.ProjectivePoint(1.0, 0.0),
+              hom.from_scalar(0.2 - 1.0j), hom.ProjectivePoint(0.6j, -0.8)]
+
+    @staticmethod
+    def assert_equal(got, want):
+        assert sp.issparse(got)
+        got, want = to_dense(got), to_dense(want)
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @staticmethod
+    def scale_and_add(coeffs, w):
+        acc = None
+        for wi, A in zip(w, coeffs):
+            if wi != 0.0:
+                acc = wi * A if acc is None else acc + wi * A
+        return acc
+
+    @pytest.fixture(params=["gyroscopic", "explicit_zeros"])
+    def problem(self, request):
+        if request.param == "gyroscopic":
+            return gen_gyroscopic(60, seed=2)
+        return _with_explicit_zeros(30, seed=5)
+
+    def test_eval_and_derivative_at_scalars(self, problem):
+        C, B, A = problem.coeffs
+        for lam in self.THETAS:
+            self.assert_equal(problem.eval(lam), lam * (lam * A + B) + C)
+            self.assert_equal(problem.derivative(lam), lam * (2 * A) + 1 * B)
+
+    def test_hom_eval_and_hom_d_at_points(self, problem):
+        for p in map(hom.canonical, self.POINTS):
+            self.assert_equal(hom.hom_eval(problem, p), self.scale_and_add(
+                problem.coeffs, hom.hom_weights(2, p)))
+            self.assert_equal(hom.hom_D(problem, p), self.scale_and_add(
+                problem.coeffs, hom.hom_D_weights(2, p)))
+            self.assert_equal(problem.eval(p), hom.hom_eval(problem, p))
+
+    def test_pattern_is_built_once_and_shared(self, problem, monkeypatch):
+        problem.eval(1.0j)
+        monkeypatch.setattr(np, "searchsorted", None)  # no second build
+        P, D = problem.eval(2.0), problem.derivative(hom.from_scalar(1.0))
+        assert np.shares_memory(P.indices, D.indices)
+        assert P.dtype == np.float64  # a real evaluation stays real
+
+    def test_coefficients_are_left_alone(self):
+        p = _with_explicit_zeros(20, seed=1)
+        before = [A.copy() for A in p.coeffs]
+        p.eval(0.5 + 1j)
+        for A, B in zip(p.coeffs, before):
+            assert type(A) is type(B)
+            if sp.issparse(A):
+                assert np.array_equal(A.indices, B.indices)
+                assert np.array_equal(A.data, B.data)
+
+
 class TestDividedDifference:
     def test_quotient_oracle(self):
         # closed form against the raw quotient, separated points

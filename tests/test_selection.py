@@ -141,6 +141,13 @@ def textbook_criterion(problem, registry, theta, v, homogeneous):
     return max(vals)
 
 
+def projection(problem, registry, V):
+    """G = R V: the rows y* A_k of every registered triplet, stacked in
+    registry order, times V (what jdsolver.SearchSpace keeps)."""
+    R = [t.left.conj() @ A for t in registry for A in problem.coeffs]
+    return np.array(R).reshape(-1, V.shape[0]) @ V
+
+
 class TestCandidateCriteria:
     """candidate_criteria (one contraction for all candidates) against the
     textbook formula applied to one candidate vector at a time."""
@@ -165,7 +172,8 @@ class TestCandidateCriteria:
         thetas = [0.4 - 1.2j, -2.0, 3j, rest[0].value, 0.1, 1.0 + 1.0j,
                   registry[0].value + 1e-3]
         cands = [CandidatePair(th, C[:, j]) for j, th in enumerate(thetas)]
-        got = candidate_criteria(p, registry, V, cands)
+        got = candidate_criteria(p, registry, projection(p, registry, V),
+                                 cands)
         want = [textbook_criterion(p, registry, th, V @ C[:, j], False)
                 for j, th in enumerate(thetas)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -186,7 +194,8 @@ class TestCandidateCriteria:
                   hom.from_scalar(-3.0), hom.ProjectivePoint(0.6j, -0.8),
                   registry[0].point]
         cands = [CandidatePair(q, C[:, j]) for j, q in enumerate(points)]
-        got = candidate_criteria(p, registry, V, cands)
+        got = candidate_criteria(p, registry, projection(p, registry, V),
+                                 cands)
         want = [textbook_criterion(p, registry, q, V @ C[:, j], True)
                 for j, q in enumerate(points)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -202,7 +211,7 @@ class TestCandidateCriteria:
         V, C = self.basis(7, 4, 6)
         theta = hom.from_scalar(0.3 + 0.2j) if homogeneous else 0.3 + 0.2j
         one = criterion_value(p, registry, CandidatePair(theta, V @ C[:, 0]))
-        many = candidate_criteria(p, registry, V,
+        many = candidate_criteria(p, registry, projection(p, registry, V),
                                   [CandidatePair(theta, C[:, 0])])
         np.testing.assert_allclose(one, many[0], rtol=1e-12)
 
@@ -210,7 +219,8 @@ class TestCandidateCriteria:
         p = gen_random_pep(5, 2, seed=0)
         V, C = self.basis(5, 3, 0)
         cands = [CandidatePair(0.5, C[:, 0]), CandidatePair(1.0, C[:, 1])]
-        assert np.array_equal(candidate_criteria(p, [], V, cands), [0.0, 0.0])
+        assert np.array_equal(
+            candidate_criteria(p, [], projection(p, [], V), cands), [0.0, 0.0])
 
 
 class TestExampleDiscrimination:
