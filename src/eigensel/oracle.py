@@ -1,9 +1,10 @@
 """Dense brute-force oracles, the reference of the tests and demos.
 
-oracle_all_eigenpairs (PEP companion pencil) and dense_solve (MEP Delta
-pencil on the full tensor space) run two-sided QZ and self-check their
-residuals.  No solver or CLI path calls them.  Both refuse a pencil of
-more than cap rows (default 2000) with OracleCapError.
+oracle_all_eigenpairs runs two-sided QZ of the PEP companion pencil;
+dense_solve runs one standard eigensolve of the MEP Delta pencil on the full
+tensor space.  Both self-check their residuals.  No solver or CLI path calls
+them.  Both refuse a pencil of more than cap rows (default 2000) with
+OracleCapError.
 """
 
 from __future__ import annotations
@@ -106,11 +107,10 @@ def oracle_all_eigenpairs(problem, cap=DEFAULT_ORACLE_CAP, residual_rtol=1e-8):
 
 @dataclass
 class MepOraclePair:
-    """One tensor-space eigenvalue with factor vectors on both sides."""
+    """One MEP eigenvalue tuple with factor vectors on both sides and the
+    self-checks of dense_solve."""
 
     values: tuple
-    z: np.ndarray
-    w: np.ndarray
     xs: list
     ys: list
     decomposable: bool
@@ -157,50 +157,42 @@ def _rank1_factors(z, dims):
     return factors, worst
 
 
-def _ls_value(D0z, Dz):
-    """Least-squares Rayleigh value of Delta_j z = val * Delta_0 z."""
-    denom = np.vdot(D0z, D0z)
-    if denom == 0:
-        return complex(np.nan)
-    return complex(np.vdot(D0z, Dz) / denom)
-
-
 def dense_solve(mep, cap=DEFAULT_ORACLE_CAP, residual_rtol=1e-8):
     """All eigenvalues of a linear MEP by the operator determinant route.
 
-    Builds the Delta matrices on the full tensor space, solves the pencil
-    (sum_j c_j Delta_j, Delta_0) with two-sided QZ for fixed generic complex
-    weights c_j, reads every parameter as a least-squares Rayleigh value,
-    and extracts factor vectors from best rank-one (tensor) approximations
-    of the right and left eigenvectors.  The weighted combination keeps
-    tuples separated even when they share single coordinates (a
-    cartesian-product spectrum makes any one Delta_j pencil degenerate, and
-    QZ would return arbitrary eigenspace mixtures).  Pairs are flagged
-    ok=False when a factor residual exceeds residual_rtol times the factor
-    scale or when an eigenvector is far from decomposable (second singular
-    value above 1e-6 of the first).
+    Builds the Delta matrices on the full tensor space and solves
+    Delta_0^{-1} sum_j c_j Delta_j Z = Z Theta by one standard eigensolve for
+    fixed generic complex weights c_j; the left vectors of the pencil are
+    W = Delta_0^{-H} (Z^{-1})^H, paired column by column.  Every parameter is
+    read at once as the two-sided Rayleigh value w* Delta_j z / w* Delta_0 z
+    (the solver's extraction reads one-sided least-squares values instead),
+    and factor vectors come from best rank-one (tensor) approximations of
+    the columns of Z and W.  The weighted combination keeps tuples separated
+    even when they share single coordinates (a cartesian-product spectrum
+    makes any one Delta_j pencil degenerate).
+    Pairs come in the eigensolver's order and are flagged ok=False when a
+    factor residual exceeds residual_rtol times the factor scale or when an
+    eigenvector is far from decomposable (second singular value above 1e-6
+    of the first).
 
-    Raises OracleCapError when the tensor dimension exceeds cap.
+    An MEP whose Delta_0 is singular (one with infinite eigenvalues) is not
+    supported: an exactly singular Delta_0 raises LinAlgError, and a
+    numerically singular one gives ok=False pairs, which dense_registry
+    drops.  Raises OracleCapError when the tensor dimension exceeds cap.
     """
     _check_cap(int(np.prod(mep.dims)), cap, "tensor dimension")
     deltas = delta_operators(mep)
     D0 = deltas[0]
-    vals, VL, VR = sla.eig(_weighted_sum(deltas), D0, left=True, right=True,
-                           check_finite=False)
+    _, Z = np.linalg.eig(np.linalg.solve(D0, _weighted_sum(deltas)))
+    W = np.linalg.solve(D0.conj().T, np.linalg.inv(Z).conj().T)
+    Wh = W.conj()
+    vals = np.array([np.einsum("ij,ij->j", Wh, D @ Z) for D in deltas[1:]])
+    vals /= np.einsum("ij,ij->j", Wh, D0 @ Z)
     pairs = []
-    for idx in range(vals.shape[0]):
-        if not np.isfinite(vals[idx]):
-            continue
-        z = VR[:, idx]
-        w = VL[:, idx]
-        D0z = D0 @ z
-        values = tuple(_ls_value(D0z, deltas[j] @ z)
-                       for j in range(1, len(deltas)))
-        if any(not (math.isfinite(v.real) and math.isfinite(v.imag))
-               for v in values):
-            continue
-        xs, xr = _rank1_factors(z, mep.dims)
-        ys, yr = _rank1_factors(w, mep.dims)
+    for idx in np.flatnonzero(np.isfinite(vals).all(axis=0)):
+        values = tuple(complex(v) for v in vals[:, idx])
+        xs, xr = _rank1_factors(Z[:, idx], mep.dims)
+        ys, yr = _rank1_factors(W[:, idx], mep.dims)
         rr = 0.0
         rl = 0.0
         for i in range(mep.nfactors):
@@ -210,7 +202,7 @@ def dense_solve(mep, cap=DEFAULT_ORACLE_CAP, residual_rtol=1e-8):
             rl = max(rl, float(np.linalg.norm(Ti.conj().T @ ys[i])) / scale)
         deco = max(xr, yr) <= 1e-6
         pairs.append(
-            MepOraclePair(values, z, w, xs, ys, deco, rr, rl,
+            MepOraclePair(values, xs, ys, deco, rr, rl,
                           ok=(deco and rr <= residual_rtol
                               and rl <= residual_rtol))
         )

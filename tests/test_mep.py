@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from eigensel import mep as mepmod
@@ -40,6 +41,16 @@ def dist(a, b):
     """Euclidean distance of two parameter tuples."""
     return math.sqrt(sum(abs(complex(x) - complex(y)) ** 2
                          for x, y in zip(a, b)))
+
+
+def nearest_k_count(found, oracle, target, k, rtol):
+    """How many oracle tuples among the k nearest to target have a found
+    tuple within rtol of them, relative to max(1, |oracle tuple|)."""
+    origin = (0.0,) * len(target)
+    near = sorted(oracle, key=lambda o: dist(o, target))[:k]
+    return sum(any(dist(v, o) <= rtol * max(1.0, dist(o, origin))
+                   for v in found)
+               for o in near)
 
 
 class TestDeltaOperators:
@@ -130,6 +141,29 @@ class TestDenseSolve:
         for t in reg:
             assert len(t.values) == 3
             assert abs(t.denom) > 0
+
+    def test_singular_delta0_raises(self):
+        # B_1 = C_1 and B_2 = C_2 make Delta_0 = B_1 (x) B_2 - B_1 (x) B_2
+        # exactly zero
+        rng = np.random.default_rng(9)
+        A1, B1, A2, B2 = (rng.standard_normal((3, 3)) for _ in range(4))
+        m = LinearMep2(A1, B1, B1, A2, B2, B2)
+        assert not delta_operators(m)[0].any()
+        with pytest.raises(np.linalg.LinAlgError):
+            dense_solve(m)
+        with pytest.raises(np.linalg.LinAlgError):
+            dense_registry(m, 2)
+
+    def test_one_standard_eigensolve(self, monkeypatch):
+        # no generalized (QZ) eigensolve and no solver extraction path
+        calls = []
+        monkeypatch.setattr(sla, "eig",
+                            lambda *args, **kwargs: calls.append("eig"))
+        monkeypatch.setattr(mepmod, "_projected_candidates",
+                            lambda *args, **kwargs: calls.append("proj"))
+        pairs = dense_solve(gen_random_mep((3, 4), seed=10))
+        assert calls == []
+        assert len(pairs) == 12 and all(p.ok for p in pairs)
 
     def test_parameter_count_guards(self):
         m2 = gen_random_mep((3, 3), seed=5)
@@ -850,6 +884,46 @@ class TestBoundaryValueProblem:
         res = mep_subspace_solve(gen_fourpoint_bvp(100), opts)
         assert len(res.registry) == 9
         assert not res.truncated
+
+
+class TestOracleScenarios:
+    """Seeded solves checked against the dense oracle on the full tensor
+    space: each registered tuple is matched with the oracle's nearest-k set
+    at the target."""
+
+    @pytest.fixture(scope="class")
+    def grid10(self):
+        m = gen_fourpoint_bvp(10)
+        return m, [p.values for p in dense_solve(m) if p.ok]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fourpoint_nine_nearest(self, grid10, seed):
+        # 729 tensor rows; the 9th and 10th nearest tuples lie 39.5 and
+        # 45.5 from the target
+        m, oracle = grid10
+        target = (0.0, 0.0, 0.0)
+        opts = MepOptions(target=target, num_pairs=9, tol=1e-10, mindim=3,
+                          maxdim=4, seed=seed)
+        res = mep_subspace_solve(m, opts)
+        found = [t.values for t in res.registry]
+        assert len(found) == 9
+        assert nearest_k_count(found, oracle, target, 9, 1e-10) == 9
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 7: the interior stall; 0 of 5 "
+                       "registered in 60 outer iterations")
+    def test_three_parameter_random_interior(self):
+        # factors of 8 rows against maxdim 6.  Run on to max_outer 200 it
+        # still registers 0 of 5, as do problem seeds 1 and 2; 60
+        # iterations (the same trajectory, cut) keep the test near 3 s
+        m = gen_random_mep((8, 8, 8), seed=0)
+        target = (0.0, 0.0, 0.0)
+        opts = MepOptions(target=target, num_pairs=5, tol=1e-9, mindim=3,
+                          maxdim=6, max_outer=60, seed=0)
+        res = mep_subspace_solve(m, opts)
+        oracle = [p.values for p in dense_solve(m) if p.ok]
+        found = [t.values for t in res.registry]
+        assert nearest_k_count(found, oracle, target, 5, 1e-8) == 5
 
 
 class TestConstructors:
